@@ -1,44 +1,34 @@
 //! Sharded MongoDB ("mongos") cluster.
 
 use crate::partition::shard_for;
-use crate::replicate::{ReplicaSet, ReplicaStatus};
-use crate::resilience::{run_resilient, shard_fault, ShardFault, ShardOutcome, ShardPolicy};
+use crate::replicate::ReplicaStatus;
+use crate::resilience::{run_resilient, ShardOutcome, ShardPolicy};
 use crate::stats::{ExecMode, QueryStats, RecoveryCounters, StatsRecorder};
+use crate::topology::ShardSet;
 use polyframe_datamodel::{Record, Value};
 use polyframe_docstore::distributed::{
     apply_stages_to_rows, merge_counts, merge_groups, merge_topk, partial_group, split,
     MongoDistributed,
 };
 use polyframe_docstore::{DocError, DocStore, Result};
-use polyframe_observe::sync::{Mutex, RwLock};
 use polyframe_observe::FaultPlan;
-use polyframe_storage::wal::WalObserver;
-use polyframe_storage::{CheckpointPolicy, LogMedia, RecoveryReport};
+use polyframe_storage::{CheckpointPolicy, RecoveryReport};
 use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// The mutable cluster shape: shard stores and their replica sets.
-/// `_id` routing is fixed modulo-`n` (mongos-style), so unlike
-/// [`crate::SqlCluster`] there is no slot table and no online split —
-/// but crash promotion and replica reads work the same way.
-struct DocTopology {
-    shards: Vec<Arc<DocStore>>,
-    replicas: Vec<Option<Arc<ReplicaSet<DocStore>>>>,
-    wal_policy: Option<CheckpointPolicy>,
-}
-
 /// A hash-partitioned cluster of document stores behind a mongos-style
 /// router.
 pub struct MongoCluster {
-    topology: RwLock<DocTopology>,
+    /// Shard primaries and their replica sets (fault sites
+    /// `mongo-cluster/shard[i]...`). `_id` routing is fixed modulo-`n`
+    /// (mongos-style), so unlike [`crate::SqlCluster`] there is no slot
+    /// table and no online split — but crash promotion and replica reads
+    /// work the same way.
+    shards: ShardSet<DocStore, ()>,
     next_id: AtomicI64,
     mode: ExecMode,
     stats: StatsRecorder,
-    /// Optional fault plan consulted at the shard-dispatch boundary
-    /// (sites `mongo-cluster/shard[i]`) and the replication sites
-    /// (`mongo-cluster/shard[i]/wal/ship[j]`, `.../replica/apply[j]`).
-    faults: Mutex<Option<Arc<FaultPlan>>>,
 }
 
 impl MongoCluster {
@@ -49,17 +39,11 @@ impl MongoCluster {
 
     /// Build a cluster with an explicit dispatch mode.
     pub fn with_mode(n: usize, mode: ExecMode) -> MongoCluster {
-        assert!(n >= 1, "a cluster needs at least one shard");
         MongoCluster {
-            topology: RwLock::new(DocTopology {
-                shards: (0..n).map(|_| Arc::new(DocStore::new())).collect(),
-                replicas: (0..n).map(|_| None).collect(),
-                wal_policy: None,
-            }),
+            shards: ShardSet::new("mongo-cluster", n, (), DocStore::new),
             next_id: AtomicI64::new(1),
             mode,
             stats: StatsRecorder::new(),
-            faults: Mutex::new(None),
         }
     }
 
@@ -67,15 +51,12 @@ impl MongoCluster {
     /// shard dispatch (sites `mongo-cluster/shard[i]`) and at the WAL
     /// shipping / replica apply sites.
     pub fn set_fault_plan(&self, plan: Option<Arc<FaultPlan>>) {
-        *self.faults.lock() = plan.clone();
-        for set in self.topology.read().replicas.iter().flatten() {
-            set.set_faults(plan.clone());
-        }
+        self.shards.set_fault_plan(plan);
     }
 
     /// The currently installed fault plan, if any.
     pub fn fault_plan(&self) -> Option<Arc<FaultPlan>> {
-        self.faults.lock().clone()
+        self.shards.fault_plan()
     }
 
     /// Drain the accumulated simulated-parallel elapsed time
@@ -96,35 +77,29 @@ impl MongoCluster {
 
     /// Number of shards.
     pub fn num_shards(&self) -> usize {
-        self.topology.read().shards.len()
+        self.shards.num_shards()
     }
 
     /// The current primary store of shard `i`. The handle outlives
     /// promotions — re-fetch to see the new primary.
     pub fn shard(&self, i: usize) -> Arc<DocStore> {
-        Arc::clone(&self.topology.read().shards[i])
+        self.shards.shard(i)
     }
 
     /// Create a collection on every shard.
     pub fn create_collection(&self, name: &str) -> Result<()> {
-        for s in &self.topology.read().shards {
+        for s in &self.shards.read().shards {
             s.create_collection(name)?;
         }
         Ok(())
     }
 
-    /// Give every shard its own write-ahead log (a fresh [`LogMedia`]
-    /// per shard, as each node of a real cluster owns its own disk) and
-    /// recover whatever committed state each log holds. A shard that
-    /// crashes mid-query afterwards rebuilds from its own log before
-    /// rejoining.
+    /// Give every shard its own write-ahead log (fresh media per shard,
+    /// as each node of a real cluster owns its own disk) and recover
+    /// whatever committed state each log holds. A shard that crashes
+    /// mid-query afterwards rebuilds from its own log before rejoining.
     pub fn enable_durability(&self, policy: CheckpointPolicy) -> Result<Vec<RecoveryReport>> {
-        let mut topo = self.topology.write();
-        topo.wal_policy = Some(policy);
-        topo.shards
-            .iter()
-            .map(|s| s.enable_durability(LogMedia::new(), policy))
-            .collect()
+        self.shards.enable_durability(policy)
     }
 
     /// Give every shard `n` secondary replicas maintained by WAL
@@ -134,131 +109,20 @@ impl MongoCluster {
     /// can serve reads (see [`ShardPolicy::prefer_replica`]). Requires
     /// durability.
     pub fn enable_replication(&self, replicas_per_shard: usize) -> Result<()> {
-        let faults = self.fault_plan();
-        let mut topo = self.topology.write();
-        let policy = topo
-            .wal_policy
-            .ok_or_else(|| DocError::Exec("enable durability before replication".into()))?;
-        for i in 0..topo.shards.len() {
-            let set = Self::replica_set_for(i, &topo.shards[i], replicas_per_shard, policy)?;
-            set.set_faults(faults.clone());
-            topo.replicas[i] = Some(set);
-        }
-        Ok(())
-    }
-
-    /// Build, seed, and install a replica set for one shard primary.
-    fn replica_set_for(
-        shard: usize,
-        leader: &Arc<DocStore>,
-        n: usize,
-        policy: CheckpointPolicy,
-    ) -> Result<Arc<ReplicaSet<DocStore>>> {
-        let set = Arc::new(ReplicaSet::new("mongo-cluster", shard));
-        for _ in 0..n {
-            let follower = DocStore::new();
-            follower.enable_durability(LogMedia::new(), policy)?;
-            set.add_follower(leader.as_ref(), Arc::new(follower))
-                .map_err(DocError::Exec)?;
-        }
-        let wal = leader
-            .wal_handle()
-            .ok_or_else(|| DocError::Exec("replication requires a durable primary".into()))?;
-        wal.set_observer(Some(Arc::clone(&set) as Arc<dyn WalObserver>));
-        set.catch_up(&wal);
-        Ok(set)
+        self.shards.enable_replication(replicas_per_shard)
     }
 
     /// Per-shard replica status (cursor, lag, freshness), outer index =
     /// shard. Shards without replication report an empty list.
     pub fn replication_status(&self) -> Vec<Vec<ReplicaStatus>> {
-        let topo = self.topology.read();
-        topo.shards
-            .iter()
-            .zip(&topo.replicas)
-            .map(|(leader, set)| match (set, leader.wal_handle()) {
-                (Some(set), Some(wal)) => {
-                    let next = wal.next_lsn();
-                    set.status(next)
-                }
-                _ => Vec::new(),
-            })
-            .collect()
+        self.shards.replication_status()
     }
 
     /// Off-critical-path repair: rebuild stale secondaries from their
     /// own logs and drain lagging fresh ones from their primary's
     /// committed log. Returns how many stale secondaries were rebuilt.
     pub fn heal_replicas(&self) -> usize {
-        let topo = self.topology.read();
-        let mut healed = 0;
-        for (leader, set) in topo.shards.iter().zip(&topo.replicas) {
-            if let Some(set) = set {
-                healed += set.heal_stale();
-                if let Some(wal) = leader.wal_handle() {
-                    set.catch_up(&wal);
-                }
-            }
-        }
-        healed
-    }
-
-    /// The store serving reads of shard `i`: a fully caught-up
-    /// secondary when replica reads are preferred and one exists, else
-    /// the primary.
-    fn read_store(&self, i: usize, prefer_replica: bool) -> Arc<DocStore> {
-        let topo = self.topology.read();
-        let leader = Arc::clone(&topo.shards[i]);
-        if prefer_replica {
-            if let (Some(set), Some(wal)) = (topo.replicas[i].as_ref(), leader.wal_handle()) {
-                let next = wal.next_lsn();
-                if let Some(node) = set.read_replica(next) {
-                    return node;
-                }
-            }
-        }
-        leader
-    }
-
-    /// Handle an injected crash on shard `i`: promote the freshest
-    /// secondary when one exists (replaying only the
-    /// committed-but-unshipped tail), else rebuild the shard from its
-    /// own log; without a log the crash degrades to a plain transient
-    /// fault. All paths report a transient failure so the failover loop
-    /// re-dispatches against the healed shard.
-    fn recover_shard(&self, i: usize, msg: String, recovery: &RecoveryCounters) -> DocError {
-        let start = Instant::now();
-        {
-            let mut topo = self.topology.write();
-            let leader = Arc::clone(&topo.shards[i]);
-            let set = topo.replicas[i].clone();
-            if let (Some(set), Some(wal)) = (set, leader.wal_handle()) {
-                if let Some(p) = set.promote(&wal, Arc::clone(&leader)) {
-                    wal.set_observer(None);
-                    if let Some(new_wal) = p.node.wal_handle() {
-                        new_wal.set_observer(Some(Arc::clone(&set) as Arc<dyn WalObserver>));
-                        set.catch_up(&new_wal);
-                    }
-                    topo.shards[i] = Arc::clone(&p.node);
-                    recovery.record_promotion(p.replayed, start.elapsed());
-                    return DocError::Transient(format!(
-                        "{msg}; promoted secondary replica (replayed {} tail records)",
-                        p.replayed
-                    ));
-                }
-            }
-        }
-        let leader = self.shard(i);
-        if !leader.durability_enabled() {
-            return DocError::Transient(msg);
-        }
-        match leader.recover() {
-            Ok(report) => {
-                recovery.record(report.replayed_records, start.elapsed());
-                DocError::Transient(format!("{msg}; shard rebuilt from log"))
-            }
-            Err(e) => e,
-        }
+        self.shards.heal_replicas()
     }
 
     /// Insert documents, assigning cluster-wide `_id`s and routing by
@@ -270,7 +134,7 @@ impl MongoCluster {
     ) -> Result<usize> {
         // Held for reading across the whole insert so a promotion
         // cannot swap a primary out from under an in-flight write.
-        let topo = self.topology.read();
+        let topo = self.shards.read();
         let n = topo.shards.len();
         let mut buckets: Vec<Vec<Record>> = (0..n).map(|_| Vec::new()).collect();
         let mut total = 0;
@@ -298,14 +162,14 @@ impl MongoCluster {
             for h in handles {
                 h.join().expect("shard insert thread panicked")?;
             }
-            Ok(())
+            Ok::<(), DocError>(())
         })?;
         Ok(total)
     }
 
     /// Create a secondary index on every shard.
     pub fn create_index(&self, collection: &str, attribute: &str) -> Result<()> {
-        for s in &self.topology.read().shards {
+        for s in &self.shards.read().shards {
             s.create_index(collection, attribute)?;
         }
         Ok(())
@@ -314,7 +178,7 @@ impl MongoCluster {
     /// Total documents across shards (metadata, O(shards)).
     pub fn count_documents(&self, collection: &str) -> Result<usize> {
         let mut total = 0;
-        for s in &self.topology.read().shards {
+        for s in &self.shards.read().shards {
             total += s.count_documents(collection)?;
         }
         Ok(total)
@@ -446,7 +310,6 @@ impl MongoCluster {
     where
         F: Fn(&DocStore, &str) -> Result<Vec<Value>> + Sync,
     {
-        let faults = self.fault_plan();
         let recovery = RecoveryCounters::new();
         let out = run_resilient(
             self.num_shards(),
@@ -454,16 +317,7 @@ impl MongoCluster {
             policy,
             DocError::is_transient,
             |i| {
-                match shard_fault(faults.as_deref(), "mongo-cluster", i) {
-                    Some(ShardFault::Transient(msg)) => return Err(DocError::Transient(msg)),
-                    Some(ShardFault::Crash(msg)) => {
-                        return Err(self.recover_shard(i, msg, &recovery))
-                    }
-                    None => {}
-                }
-                // Re-fetched per attempt so a failover after a promotion
-                // dispatches against the new primary.
-                let store = self.read_store(i, policy.prefer_replica);
+                let store = self.shards.dispatch(i, policy, &recovery)?;
                 work(&store, collection)
             },
         )?;

@@ -40,10 +40,11 @@ pub mod replicate;
 pub mod resilience;
 pub mod sql_cluster;
 pub mod stats;
+mod topology;
 
 pub use doc_cluster::MongoCluster;
 pub use partition::{shard_for, ShardMap, SHARD_SLOTS};
-pub use replicate::{Promotion, ReplicaNode, ReplicaSet, ReplicaStatus};
+pub use replicate::{NodeError, Promotion, ReplicaNode, ReplicaSet, ReplicaStatus};
 pub use resilience::{run_resilient, shard_fault, ShardFault, ShardOutcome, ShardPolicy};
 pub use sql_cluster::SqlCluster;
 pub use stats::{ExecMode, QueryStats, RecoveryCounters};

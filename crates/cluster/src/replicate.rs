@@ -22,7 +22,7 @@
 //!
 //! **LSN spaces.** Every cursor is kept in the *current leader's* LSN
 //! space. A follower seeded from a compacted snapshot
-//! ([`ReplicaNode::pinned_ops`]) has a shorter private history than the
+//! ([`DurableStore::pinned_ops`]) has a shorter private history than the
 //! leader, so on promotion the surviving cursors are rebased into the
 //! new leader's clock; a follower so far behind that its position
 //! cannot be expressed in the new space is dropped (the frames it needs
@@ -35,106 +35,39 @@
 //! latency loses that frame for that follower (it stalls, exactly like
 //! a dropped packet); latency delivers after the delay.
 
-use polyframe_docstore::DocStore;
 use polyframe_observe::sync::Mutex;
 use polyframe_observe::{FaultKind, FaultPlan};
-use polyframe_sqlengine::Engine;
 use polyframe_storage::wal::{DurableOp, Wal, WalObserver};
+use polyframe_storage::{DurableStore, StateMachine};
+use std::ops::Deref;
 use std::sync::Arc;
 
-/// A store that can serve as a shard leader or follower replica.
-///
-/// Implemented by the SQL engine and the document store; both route
-/// shipped ops through their normal public mutation APIs, so a follower
-/// is a fully durable, independently queryable node — promotion is a
-/// pointer swap, not a rebuild.
-pub trait ReplicaNode: Send + Sync {
-    /// Apply one shipped op through this node's own durable path.
-    /// Shipped `Ingest` records are fully formed (ids already
-    /// assigned), so replay is deterministic.
-    fn apply_replicated(&self, op: &DurableOp) -> Result<(), String>;
-    /// The node's WAL, when durability is enabled.
-    fn wal_handle(&self) -> Option<Arc<Wal>>;
-    /// Wipe volatile state and rebuild it from the node's own log.
-    fn rebuild_from_log(&self) -> Result<(), String>;
-    /// Atomically pin the node's compacted state and its log position.
-    fn pinned_ops(&self) -> Result<(Vec<DurableOp>, u64), String>;
+/// A store that can serve as a shard leader or follower replica: any
+/// store built on the durable-store shell. Shipped ops go through the
+/// follower's own [`DurableStore::commit`] (shipped `Ingest` records are
+/// fully formed, ids already assigned, so replay is deterministic), so a
+/// follower is a fully durable, independently queryable node — promotion
+/// is a pointer swap, not a rebuild.
+pub trait ReplicaNode: Send + Sync + 'static {
+    /// The node's durable state machine.
+    type State: StateMachine;
+    /// The node's durable-store shell.
+    fn shell(&self) -> &DurableStore<Self::State>;
 }
 
-impl ReplicaNode for Engine {
-    fn apply_replicated(&self, op: &DurableOp) -> Result<(), String> {
-        match op {
-            DurableOp::Create {
-                namespace,
-                name,
-                key,
-            } => self
-                .create_dataset(namespace, name, key.as_deref())
-                .map_err(|e| e.to_string()),
-            DurableOp::Ingest {
-                namespace,
-                name,
-                records,
-            } => self
-                .load(namespace, name, records.clone())
-                .map_err(|e| e.to_string()),
-            DurableOp::Index {
-                namespace,
-                name,
-                attribute,
-            } => self
-                .create_index(namespace, name, attribute)
-                .map(|_| ())
-                .map_err(|e| e.to_string()),
-        }
-    }
-
-    fn wal_handle(&self) -> Option<Arc<Wal>> {
-        Engine::wal_handle(self)
-    }
-
-    fn rebuild_from_log(&self) -> Result<(), String> {
-        self.recover().map(|_| ()).map_err(|e| e.to_string())
-    }
-
-    fn pinned_ops(&self) -> Result<(Vec<DurableOp>, u64), String> {
-        Engine::pinned_ops(self).map_err(|e| e.to_string())
+impl<S, N> ReplicaNode for N
+where
+    S: StateMachine,
+    N: Deref<Target = DurableStore<S>> + Send + Sync + 'static,
+{
+    type State = S;
+    fn shell(&self) -> &DurableStore<S> {
+        self
     }
 }
 
-impl ReplicaNode for DocStore {
-    fn apply_replicated(&self, op: &DurableOp) -> Result<(), String> {
-        match op {
-            DurableOp::Create { name, .. } => {
-                self.create_collection(name).map_err(|e| e.to_string())
-            }
-            // Shipped records carry their `_id`s, which `insert_many`
-            // preserves — the follower never re-assigns ids.
-            DurableOp::Ingest { name, records, .. } => self
-                .insert_many(name, records.iter().cloned())
-                .map(|_| ())
-                .map_err(|e| e.to_string()),
-            DurableOp::Index {
-                name, attribute, ..
-            } => self
-                .create_index(name, attribute)
-                .map(|_| ())
-                .map_err(|e| e.to_string()),
-        }
-    }
-
-    fn wal_handle(&self) -> Option<Arc<Wal>> {
-        DocStore::wal_handle(self)
-    }
-
-    fn rebuild_from_log(&self) -> Result<(), String> {
-        self.recover().map(|_| ()).map_err(|e| e.to_string())
-    }
-
-    fn pinned_ops(&self) -> Result<(Vec<DurableOp>, u64), String> {
-        DocStore::pinned_ops(self).map_err(|e| e.to_string())
-    }
-}
+/// The error type of node `N`'s store.
+pub type NodeError<N> = <<N as ReplicaNode>::State as StateMachine>::Error;
 
 struct Follower<N> {
     node: Arc<N>,
@@ -205,10 +138,10 @@ impl<N: ReplicaNode> ReplicaSet<N> {
     /// committed between the pin and the enlistment are missed (the
     /// follower stalls at the pin); run [`ReplicaSet::catch_up`]
     /// afterwards to drain them off the leader's media.
-    pub fn add_follower(&self, leader: &N, node: Arc<N>) -> Result<(), String> {
-        let (ops, pin) = leader.pinned_ops()?;
-        for op in &ops {
-            node.apply_replicated(op)?;
+    pub fn add_follower(&self, leader: &N, node: Arc<N>) -> Result<(), NodeError<N>> {
+        let (ops, pin) = leader.shell().pinned_ops()?;
+        for op in ops {
+            node.shell().commit(op)?;
         }
         self.followers.lock().push(Follower {
             node,
@@ -232,7 +165,7 @@ impl<N: ReplicaNode> ReplicaSet<N> {
                 continue;
             };
             for (lsn, op) in &tail {
-                if f.node.apply_replicated(op).is_err() {
+                if f.node.shell().commit(op.clone()).is_err() {
                     f.fresh = false;
                     break;
                 }
@@ -300,7 +233,7 @@ impl<N: ReplicaNode> ReplicaSet<N> {
             let caught_up = {
                 let f = &mut followers[idx];
                 tail.iter().all(|(lsn, op)| {
-                    if f.node.apply_replicated(op).is_err() {
+                    if f.node.shell().commit(op.clone()).is_err() {
                         f.fresh = false;
                         return false;
                     }
@@ -316,7 +249,7 @@ impl<N: ReplicaNode> ReplicaSet<N> {
             // and the successor's clock for the same state.
             let end = cursor + tail.len() as u64;
             let new_leader = followers.remove(idx);
-            let successor_clock = match new_leader.node.wal_handle() {
+            let successor_clock = match new_leader.node.shell().wal_handle() {
                 Some(w) => w.next_lsn(),
                 None => end,
             };
@@ -347,7 +280,7 @@ impl<N: ReplicaNode> ReplicaSet<N> {
         let mut followers = self.followers.lock();
         let mut healed = 0;
         for f in followers.iter_mut() {
-            if !f.fresh && f.node.rebuild_from_log().is_ok() {
+            if !f.fresh && f.node.shell().recover().is_ok() {
                 f.fresh = true;
                 healed += 1;
             }
@@ -388,7 +321,7 @@ impl<N: ReplicaNode> WalObserver for ReplicaSet<N> {
             if self.frame_lost(&plan, "replica/apply", j) {
                 continue;
             }
-            if f.node.apply_replicated(op).is_ok() {
+            if f.node.shell().commit(op.clone()).is_ok() {
                 f.cursor = lsn + 1;
             } else {
                 f.fresh = false;
@@ -401,7 +334,8 @@ impl<N: ReplicaNode> WalObserver for ReplicaSet<N> {
 mod tests {
     use super::*;
     use polyframe_datamodel::record;
-    use polyframe_sqlengine::EngineConfig;
+    use polyframe_docstore::DocStore;
+    use polyframe_sqlengine::{Engine, EngineConfig};
     use polyframe_storage::{CheckpointPolicy, LogMedia};
 
     fn durable_engine() -> Arc<Engine> {

@@ -1,49 +1,31 @@
 //! Sharded SQL/SQL++ cluster (AsterixDB cluster / Greenplum).
 
 use crate::partition::{shard_for, ShardMap, SHARD_SLOTS};
-use crate::replicate::{ReplicaNode, ReplicaSet, ReplicaStatus};
-use crate::resilience::{run_resilient, shard_fault, ShardFault, ShardOutcome, ShardPolicy};
+use crate::replicate::ReplicaStatus;
+use crate::resilience::{run_resilient, ShardOutcome, ShardPolicy};
 use crate::stats::{ExecMode, QueryStats, RecoveryCounters, StatsRecorder};
+use crate::topology::ShardSet;
 use polyframe_datamodel::{cmp_total, Record, Value};
-use polyframe_observe::sync::{Mutex, RwLock};
 use polyframe_observe::FaultPlan;
 use polyframe_sqlengine::plan::distributed::{
     merge_aggregate_parts, merge_concat, merge_topk, split, DistributedQuery,
 };
 use polyframe_sqlengine::plan::logical::LogicalPlan;
 use polyframe_sqlengine::{Engine, EngineConfig, EngineError, Result};
-use polyframe_storage::wal::{DurableOp, WalObserver};
-use polyframe_storage::{CheckpointPolicy, LogMedia, RecoveryReport};
+use polyframe_storage::wal::DurableOp;
+use polyframe_storage::{CheckpointPolicy, RecoveryReport};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// The mutable cluster shape: shard leaders, their replica sets, and
-/// the slot table routing keys to shards. Guarded by one `RwLock` —
-/// loads and DDL hold it for reading (writes go to current leaders),
-/// queries snapshot handles briefly, and topology changes (promotion,
-/// split) take it for writing so no write can land on a stale leader.
-struct Topology {
-    shards: Vec<Arc<Engine>>,
-    replicas: Vec<Option<Arc<ReplicaSet<Engine>>>>,
-    map: ShardMap,
-    replicas_per_shard: usize,
-    wal_policy: Option<CheckpointPolicy>,
-}
-
 /// A hash-partitioned cluster of SQL engines.
 pub struct SqlCluster {
-    topology: RwLock<Topology>,
-    /// Per-shard engine configuration (after worker budgeting), reused
-    /// for follower replicas and split-off shards.
-    config: EngineConfig,
+    /// Shard leaders, replica sets and the slot table routing keys to
+    /// shards (fault sites `sql-cluster/shard[i]...`).
+    shards: ShardSet<Engine, ShardMap>,
     /// Attribute used to place records on shards.
     partition_key: String,
     mode: ExecMode,
     stats: StatsRecorder,
-    /// Optional fault plan consulted at the shard-dispatch boundary
-    /// (sites `sql-cluster/shard[i]`) and the replication sites
-    /// (`sql-cluster/shard[i]/wal/ship[j]`, `.../replica/apply[j]`).
-    faults: Mutex<Option<Arc<FaultPlan>>>,
 }
 
 impl SqlCluster {
@@ -60,25 +42,17 @@ impl SqlCluster {
         partition_key: impl Into<String>,
         mode: ExecMode,
     ) -> SqlCluster {
-        assert!(n >= 1, "a cluster needs at least one shard");
         // Budget cores jointly: shards × morsel workers ≤ available cores
         // (sequential dispatch hands each shard the full budget instead).
+        // Follower replicas and split-off shards reuse the same config.
         config.exec.workers = mode.workers_per_shard(n);
         SqlCluster {
-            topology: RwLock::new(Topology {
-                shards: (0..n)
-                    .map(|_| Arc::new(Engine::new(config.clone())))
-                    .collect(),
-                replicas: (0..n).map(|_| None).collect(),
-                map: ShardMap::new(n),
-                replicas_per_shard: 0,
-                wal_policy: None,
+            shards: ShardSet::new("sql-cluster", n, ShardMap::new(n), move || {
+                Engine::new(config.clone())
             }),
-            config,
             partition_key: partition_key.into(),
             mode,
             stats: StatsRecorder::new(),
-            faults: Mutex::new(None),
         }
     }
 
@@ -86,26 +60,23 @@ impl SqlCluster {
     /// shard dispatch (sites `sql-cluster/shard[i]`) and at the WAL
     /// shipping / replica apply sites.
     pub fn set_fault_plan(&self, plan: Option<Arc<FaultPlan>>) {
-        *self.faults.lock() = plan.clone();
-        for set in self.topology.read().replicas.iter().flatten() {
-            set.set_faults(plan.clone());
-        }
+        self.shards.set_fault_plan(plan);
     }
 
     /// The currently installed fault plan, if any.
     pub fn fault_plan(&self) -> Option<Arc<FaultPlan>> {
-        self.faults.lock().clone()
+        self.shards.fault_plan()
     }
 
     /// Number of shards.
     pub fn num_shards(&self) -> usize {
-        self.topology.read().shards.len()
+        self.shards.num_shards()
     }
 
     /// The current leader engine of shard `i` (tests, benches). The
     /// handle outlives promotions — re-fetch to see the new leader.
     pub fn shard(&self, i: usize) -> Arc<Engine> {
-        Arc::clone(&self.topology.read().shards[i])
+        self.shards.shard(i)
     }
 
     /// Drain the accumulated simulated-parallel elapsed time (see
@@ -132,24 +103,18 @@ impl SqlCluster {
         dataset: &str,
         primary_key: Option<&str>,
     ) -> Result<()> {
-        for s in &self.topology.read().shards {
+        for s in &self.shards.read().shards {
             s.create_dataset(namespace, dataset, primary_key)?;
         }
         Ok(())
     }
 
-    /// Give every shard its own write-ahead log (a fresh [`LogMedia`]
-    /// per shard, as each node of a real cluster owns its own disk) and
-    /// recover whatever committed state each log holds. A shard that
-    /// crashes mid-query afterwards rebuilds from its own log before
-    /// rejoining.
+    /// Give every shard its own write-ahead log (fresh media per shard,
+    /// as each node of a real cluster owns its own disk) and recover
+    /// whatever committed state each log holds. A shard that crashes
+    /// mid-query afterwards rebuilds from its own log before rejoining.
     pub fn enable_durability(&self, policy: CheckpointPolicy) -> Result<Vec<RecoveryReport>> {
-        let mut topo = self.topology.write();
-        topo.wal_policy = Some(policy);
-        topo.shards
-            .iter()
-            .map(|s| s.enable_durability(LogMedia::new(), policy))
-            .collect()
+        self.shards.enable_durability(policy)
     }
 
     /// Give every shard `n` follower replicas maintained by WAL
@@ -159,70 +124,13 @@ impl SqlCluster {
     /// followers can serve snapshot reads (see
     /// [`ShardPolicy::prefer_replica`]). Requires durability.
     pub fn enable_replication(&self, replicas_per_shard: usize) -> Result<()> {
-        let faults = self.fault_plan();
-        let mut topo = self.topology.write();
-        let policy = topo
-            .wal_policy
-            .ok_or_else(|| EngineError::exec("enable durability before replication"))?;
-        topo.replicas_per_shard = replicas_per_shard;
-        for i in 0..topo.shards.len() {
-            let set = Self::replica_set_for(
-                &self.config,
-                i,
-                &topo.shards[i],
-                replicas_per_shard,
-                policy,
-                faults.clone(),
-            )?;
-            topo.replicas[i] = Some(set);
-        }
-        Ok(())
-    }
-
-    /// Build a replica set of `n` empty followers for `leader`, seed
-    /// them from its pinned snapshot, and install the set as the
-    /// leader's WAL observer so every later commit ships synchronously.
-    fn replica_set_for(
-        config: &EngineConfig,
-        shard: usize,
-        leader: &Arc<Engine>,
-        n: usize,
-        policy: CheckpointPolicy,
-        faults: Option<Arc<FaultPlan>>,
-    ) -> Result<Arc<ReplicaSet<Engine>>> {
-        let set = Arc::new(ReplicaSet::new("sql-cluster", shard));
-        set.set_faults(faults);
-        for _ in 0..n {
-            let follower = Engine::new(config.clone());
-            follower.enable_durability(LogMedia::new(), policy)?;
-            set.add_follower(leader.as_ref(), Arc::new(follower))
-                .map_err(EngineError::exec)?;
-        }
-        let wal = leader
-            .wal_handle()
-            .ok_or_else(|| EngineError::exec("replication requires a durable leader"))?;
-        wal.set_observer(Some(Arc::clone(&set) as Arc<dyn WalObserver>));
-        // Drain anything committed between the seed pin and the observer
-        // install.
-        set.catch_up(&wal);
-        Ok(set)
+        self.shards.enable_replication(replicas_per_shard)
     }
 
     /// Per-shard replica status (cursor, lag, freshness), outer index =
     /// shard. Shards without replication report an empty list.
     pub fn replication_status(&self) -> Vec<Vec<ReplicaStatus>> {
-        let topo = self.topology.read();
-        topo.shards
-            .iter()
-            .zip(&topo.replicas)
-            .map(|(leader, set)| match (set, leader.wal_handle()) {
-                (Some(set), Some(wal)) => {
-                    let next = wal.next_lsn();
-                    set.status(next)
-                }
-                _ => Vec::new(),
-            })
-            .collect()
+        self.shards.replication_status()
     }
 
     /// Off-critical-path repair: rebuild stale followers (demoted
@@ -230,88 +138,12 @@ impl SqlCluster {
     /// lagging fresh followers from their leader's committed log.
     /// Returns how many stale followers were rebuilt.
     pub fn heal_replicas(&self) -> usize {
-        let topo = self.topology.read();
-        let mut healed = 0;
-        for (leader, set) in topo.shards.iter().zip(&topo.replicas) {
-            if let Some(set) = set {
-                healed += set.heal_stale();
-                if let Some(wal) = leader.wal_handle() {
-                    set.catch_up(&wal);
-                }
-            }
-        }
-        healed
-    }
-
-    /// The engine serving reads of shard `i` under the given routing
-    /// preference: a fully caught-up follower when replica reads are
-    /// preferred and one exists (a lagging replica is never read), else
-    /// the leader.
-    fn read_engine(&self, i: usize, prefer_replica: bool) -> Arc<Engine> {
-        let topo = self.topology.read();
-        let leader = Arc::clone(&topo.shards[i]);
-        if prefer_replica {
-            if let (Some(set), Some(wal)) = (topo.replicas[i].as_ref(), leader.wal_handle()) {
-                let next = wal.next_lsn();
-                if let Some(node) = set.read_replica(next) {
-                    return node;
-                }
-            }
-        }
-        leader
-    }
-
-    /// Handle an injected crash on shard `i`. Preference order:
-    ///
-    /// 1. **Promotion** — under the topology write lock (so no write can
-    ///    land on the stale leader), promote the freshest follower,
-    ///    replaying only the committed-but-unshipped WAL tail, hand the
-    ///    replica set over to the new leader's WAL, and demote the
-    ///    ex-leader to a stale follower.
-    /// 2. **Full rebuild** — no promotable follower: replay the shard's
-    ///    entire log (snapshot + tail) in place.
-    /// 3. Without a log the crash degrades to a plain transient fault.
-    ///
-    /// All paths report a transient failure so the failover loop
-    /// re-dispatches against the healed shard.
-    fn recover_shard(&self, i: usize, msg: String, recovery: &RecoveryCounters) -> EngineError {
-        let start = Instant::now();
-        {
-            let mut topo = self.topology.write();
-            let leader = Arc::clone(&topo.shards[i]);
-            let set = topo.replicas[i].clone();
-            if let (Some(set), Some(wal)) = (set, leader.wal_handle()) {
-                if let Some(p) = set.promote(&wal, Arc::clone(&leader)) {
-                    wal.set_observer(None);
-                    if let Some(new_wal) = p.node.wal_handle() {
-                        new_wal.set_observer(Some(Arc::clone(&set) as Arc<dyn WalObserver>));
-                        set.catch_up(&new_wal);
-                    }
-                    topo.shards[i] = Arc::clone(&p.node);
-                    recovery.record_promotion(p.replayed, start.elapsed());
-                    return EngineError::transient(format!(
-                        "{msg}; promoted follower replica (replayed {} tail records)",
-                        p.replayed
-                    ));
-                }
-            }
-        }
-        let leader = self.shard(i);
-        if !leader.durability_enabled() {
-            return EngineError::transient(msg);
-        }
-        match leader.recover() {
-            Ok(report) => {
-                recovery.record(report.replayed_records, start.elapsed());
-                EngineError::transient(format!("{msg}; shard rebuilt from log"))
-            }
-            Err(e) => e,
-        }
+        self.shards.heal_replicas()
     }
 
     /// Create a secondary index on every shard.
     pub fn create_index(&self, namespace: &str, dataset: &str, attribute: &str) -> Result<()> {
-        for s in &self.topology.read().shards {
+        for s in &self.shards.read().shards {
             s.create_index(namespace, dataset, attribute)?;
         }
         Ok(())
@@ -327,12 +159,12 @@ impl SqlCluster {
         dataset: &str,
         records: impl IntoIterator<Item = Record>,
     ) -> Result<()> {
-        let topo = self.topology.read();
+        let topo = self.shards.read();
         let n = topo.shards.len();
         let mut buckets: Vec<Vec<Record>> = (0..n).map(|_| Vec::new()).collect();
         for rec in records {
             let key = rec.get_or_missing(&self.partition_key);
-            buckets[topo.map.shard_of(&key)].push(rec);
+            buckets[topo.routing.shard_of(&key)].push(rec);
         }
         std::thread::scope(|scope| {
             let mut handles = Vec::new();
@@ -350,7 +182,7 @@ impl SqlCluster {
     /// Total records across shards.
     pub fn dataset_len(&self, namespace: &str, dataset: &str) -> Result<usize> {
         let mut n = 0;
-        for s in &self.topology.read().shards {
+        for s in &self.shards.read().shards {
             n += s.dataset_len(namespace, dataset)?;
         }
         Ok(n)
@@ -376,14 +208,12 @@ impl SqlCluster {
         // Phase 1: seed both halves off the pinned snapshot, under
         // traffic.
         let (moved_slots, policy, leader, pin, retained, moved) = {
-            let topo = self.topology.read();
+            let topo = self.shards.read();
             if i >= topo.shards.len() {
                 return Err(EngineError::exec(format!("no shard {i} to split")));
             }
-            let policy = topo
-                .wal_policy
-                .ok_or_else(|| EngineError::exec("enable durability before splitting"))?;
-            let moved_slots = topo.map.split_candidates(i);
+            let policy = topo.checkpoint_policy()?;
+            let moved_slots = topo.routing.split_candidates(i);
             if moved_slots.is_empty() {
                 return Err(EngineError::exec(format!(
                     "shard {i} owns too few slots to split"
@@ -396,7 +226,7 @@ impl SqlCluster {
         };
 
         // Phase 2: cut over at the pin under the write lock.
-        let mut topo = self.topology.write();
+        let mut topo = self.shards.write();
         let tail = if Arc::ptr_eq(&topo.shards[i], &leader) {
             leader
                 .wal_handle()
@@ -419,28 +249,14 @@ impl SqlCluster {
         let new_shard = topo.shards.len();
         topo.shards[i] = Arc::clone(&retained);
         topo.shards.push(Arc::clone(&moved));
-        topo.map.reassign(&moved_slots, new_shard);
+        topo.routing.reassign(&moved_slots, new_shard);
         // Both halves are new engines, so both need fresh replica sets;
         // the old set (tracking the pre-split leader) retires with it.
         if topo.replicas_per_shard > 0 {
             let n = topo.replicas_per_shard;
-            let faults = self.fault_plan();
-            topo.replicas[i] = Some(Self::replica_set_for(
-                &self.config,
-                i,
-                &retained,
-                n,
-                policy,
-                faults.clone(),
-            )?);
-            topo.replicas.push(Some(Self::replica_set_for(
-                &self.config,
-                new_shard,
-                &moved,
-                n,
-                policy,
-                faults,
-            )?));
+            topo.replicas[i] = Some(self.shards.replica_set_for(i, &retained, n, policy)?);
+            let moved_set = self.shards.replica_set_for(new_shard, &moved, n, policy)?;
+            topo.replicas.push(Some(moved_set));
         } else {
             topo.replicas.push(None);
         }
@@ -456,10 +272,8 @@ impl SqlCluster {
         moved_slots: &[usize],
         policy: CheckpointPolicy,
     ) -> Result<(Arc<Engine>, Arc<Engine>)> {
-        let retained = Arc::new(Engine::new(self.config.clone()));
-        retained.enable_durability(LogMedia::new(), policy)?;
-        let moved = Arc::new(Engine::new(self.config.clone()));
-        moved.enable_durability(LogMedia::new(), policy)?;
+        let retained = self.shards.spawn_durable(policy)?;
+        let moved = self.shards.spawn_durable(policy)?;
         self.apply_split_ops(ops, moved_slots, &retained, &moved)?;
         Ok((retained, moved))
     }
@@ -501,10 +315,8 @@ impl SqlCluster {
                     }
                 }
                 other => {
-                    retained
-                        .apply_replicated(other)
-                        .map_err(EngineError::exec)?;
-                    moved.apply_replicated(other).map_err(EngineError::exec)?;
+                    retained.commit(other.clone())?;
+                    moved.commit(other.clone())?;
                 }
             }
         }
@@ -628,7 +440,6 @@ impl SqlCluster {
         plan: &LogicalPlan,
         policy: &ShardPolicy,
     ) -> Result<(ShardOutcome<Vec<Value>>, RecoveryCounters)> {
-        let faults = self.fault_plan();
         let recovery = RecoveryCounters::new();
         let out = run_resilient(
             self.num_shards(),
@@ -636,17 +447,8 @@ impl SqlCluster {
             policy,
             EngineError::is_transient,
             |i| {
-                match shard_fault(faults.as_deref(), "sql-cluster", i) {
-                    Some(ShardFault::Transient(msg)) => return Err(EngineError::transient(msg)),
-                    Some(ShardFault::Crash(msg)) => {
-                        return Err(self.recover_shard(i, msg, &recovery))
-                    }
-                    None => {}
-                }
-                // Re-fetched per attempt: a failover after a promotion
-                // must dispatch against the new leader, not the handle
-                // the previous attempt crashed on.
-                self.read_engine(i, policy.prefer_replica)
+                self.shards
+                    .dispatch(i, policy, &recovery)?
                     .execute_logical(plan)
             },
         )?;
@@ -686,19 +488,13 @@ impl SqlCluster {
             Ok((l, r))
         };
 
-        let faults = self.fault_plan();
         let ShardOutcome {
             parts: per_shard,
             shard_times,
             failovers,
             dropped_shards,
         } = run_resilient(n, self.mode, policy, EngineError::is_transient, |i| {
-            match shard_fault(faults.as_deref(), "sql-cluster", i) {
-                Some(ShardFault::Transient(msg)) => return Err(EngineError::transient(msg)),
-                Some(ShardFault::Crash(msg)) => return Err(self.recover_shard(i, msg, &recovery)),
-                None => {}
-            }
-            let engine = self.read_engine(i, policy.prefer_replica);
+            let engine = self.shards.dispatch(i, policy, &recovery)?;
             extract_one(&engine)
         })?;
         let extract = ShardOutcome {

@@ -21,10 +21,11 @@ use crate::request::{QueryRequest, QueryResponse};
 use crate::rewrite::{Language, RuleSet};
 use polyframe_cluster::{MongoCluster, QueryStats, ShardPolicy, SqlCluster};
 use polyframe_datamodel::Value;
-use polyframe_docstore::{DocError, DocStore};
-use polyframe_graphstore::{GraphError, GraphStore};
+use polyframe_docstore::DocStore;
+use polyframe_graphstore::GraphStore;
 use polyframe_observe::{Deadline, ExplainNode, FaultPlan, Span, SpanTimer};
-use polyframe_sqlengine::{Engine, EngineError};
+use polyframe_sqlengine::Engine;
+use polyframe_storage::{DurableError, StoreError};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -227,36 +228,12 @@ pub fn execute_request(
     }
 }
 
-/// Map an engine error into the PolyFrame taxonomy.
-fn engine_err(e: EngineError) -> PolyFrameError {
-    if e.is_transient() {
-        PolyFrameError::transient(e)
-    } else if e.is_corruption() {
-        PolyFrameError::Corruption(e.to_string())
-    } else {
-        PolyFrameError::backend(e)
-    }
-}
-
-/// Map a document-store error into the PolyFrame taxonomy.
-fn doc_err(e: DocError) -> PolyFrameError {
-    if e.is_transient() {
-        PolyFrameError::transient(e)
-    } else if e.is_corruption() {
-        PolyFrameError::Corruption(e.to_string())
-    } else {
-        PolyFrameError::backend(e)
-    }
-}
-
-/// Map a graph-store error into the PolyFrame taxonomy.
-fn graph_err(e: GraphError) -> PolyFrameError {
-    if e.is_transient() {
-        PolyFrameError::transient(e)
-    } else if e.is_corruption() {
-        PolyFrameError::Corruption(e.to_string())
-    } else {
-        PolyFrameError::backend(e)
+/// Map a store error into the PolyFrame taxonomy.
+fn store_err(e: impl StoreError) -> PolyFrameError {
+    match e.durable() {
+        Some(DurableError::Transient(_)) => PolyFrameError::transient(e),
+        Some(DurableError::Corruption(_)) => PolyFrameError::Corruption(e.to_string()),
+        _ => PolyFrameError::backend(e),
     }
 }
 
@@ -329,7 +306,7 @@ impl DatabaseConnector for AsterixConnector {
     }
 
     fn dispatch(&self, req: &QueryRequest) -> Result<QueryResponse> {
-        let (rows, span) = self.engine.query_traced(&req.query).map_err(engine_err)?;
+        let (rows, span) = self.engine.query_traced(&req.query).map_err(store_err)?;
         Ok(QueryResponse::new(rows, span))
     }
 
@@ -377,7 +354,7 @@ impl DatabaseConnector for PostgresConnector {
     }
 
     fn dispatch(&self, req: &QueryRequest) -> Result<QueryResponse> {
-        let (rows, span) = self.engine.query_traced(&req.query).map_err(engine_err)?;
+        let (rows, span) = self.engine.query_traced(&req.query).map_err(store_err)?;
         Ok(QueryResponse::new(rows, span))
     }
 
@@ -420,7 +397,7 @@ impl DatabaseConnector for MongoConnector {
         let (rows, span) = self
             .store
             .aggregate_traced(&target, &req.query)
-            .map_err(doc_err)?;
+            .map_err(store_err)?;
         Ok(QueryResponse::new(rows, span))
     }
 
@@ -455,7 +432,7 @@ impl DatabaseConnector for Neo4jConnector {
     }
 
     fn dispatch(&self, req: &QueryRequest) -> Result<QueryResponse> {
-        let (rows, span) = self.store.query_traced(&req.query).map_err(graph_err)?;
+        let (rows, span) = self.store.query_traced(&req.query).map_err(store_err)?;
         Ok(QueryResponse::new(rows, span))
     }
 
@@ -505,7 +482,7 @@ impl DatabaseConnector for SqlClusterConnector {
         let rows = self
             .cluster
             .query_with(&req.query, &shard_policy(req))
-            .map_err(engine_err)?;
+            .map_err(store_err)?;
         fold_cluster_stats(
             timer.span_mut(),
             rows.len(),
@@ -551,7 +528,7 @@ impl DatabaseConnector for MongoClusterConnector {
         let rows = self
             .cluster
             .aggregate_with(&target, &req.query, &shard_policy(req))
-            .map_err(doc_err)?;
+            .map_err(store_err)?;
         fold_cluster_stats(
             timer.span_mut(),
             rows.len(),

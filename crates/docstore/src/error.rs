@@ -1,5 +1,6 @@
 //! Document-store error type.
 
+use polyframe_storage::{DurableError, StoreError};
 use std::fmt;
 
 /// Errors produced by the document store.
@@ -14,12 +15,10 @@ pub enum DocError {
     /// `$lookup` against a sharded collection (paper: expression 12 cannot
     /// run on distributed MongoDB).
     ShardedLookup(String),
-    /// A transient (retryable) backend condition: a dropped connection,
-    /// a shard timeout, or an injected fault. Retrying may succeed.
-    Transient(String),
-    /// The store's write-ahead log or snapshot failed its integrity
-    /// check. Non-retryable: the durable state itself is damaged.
-    Corruption(String),
+    /// A failure of the durable-store shell: a transient (retryable)
+    /// condition — a dropped connection, a shard timeout, an injected
+    /// fault — or non-retryable corruption of the log or snapshot.
+    Durable(DurableError),
 }
 
 impl fmt::Display for DocError {
@@ -31,23 +30,37 @@ impl fmt::Display for DocError {
             DocError::ShardedLookup(c) => {
                 write!(f, "$lookup from sharded collection {c} is not allowed")
             }
-            DocError::Transient(m) => write!(f, "{m}"),
-            DocError::Corruption(m) => write!(f, "log corruption: {m}"),
+            DocError::Durable(e) => write!(f, "{e}"),
         }
     }
 }
 
 impl std::error::Error for DocError {}
 
+impl From<DurableError> for DocError {
+    fn from(e: DurableError) -> DocError {
+        DocError::Durable(e)
+    }
+}
+
+impl StoreError for DocError {
+    fn durable(&self) -> Option<&DurableError> {
+        match self {
+            DocError::Durable(e) => Some(e),
+            _ => None,
+        }
+    }
+}
+
 impl DocError {
     /// Whether retrying the failed operation may succeed.
     pub fn is_transient(&self) -> bool {
-        matches!(self, DocError::Transient(_))
+        matches!(self, DocError::Durable(DurableError::Transient(_)))
     }
 
     /// Whether this error reports damaged durable state.
     pub fn is_corruption(&self) -> bool {
-        matches!(self, DocError::Corruption(_))
+        matches!(self, DocError::Durable(DurableError::Corruption(_)))
     }
 }
 

@@ -7,16 +7,12 @@ use crate::pipeline::expr::Vars;
 use crate::pipeline::optimizer::{optimize, PhysicalPipeline};
 use crate::pipeline::{parse_pipeline, Stage};
 use polyframe_datamodel::{Record, Value};
-use polyframe_observe::sync::{Mutex, RwLock};
-use polyframe_observe::{
-    CacheStats, CatalogVersion, FaultKind, FaultPlan, SnapshotCell, Span, SpanTimer, VersionedCache,
-};
+use polyframe_observe::{CacheStats, Span, SpanTimer, VersionedCache};
 use polyframe_storage::{
-    CheckpointPolicy, DurableOp, IndexKind, LogMedia, NullPolicy, RecoveryReport, Table,
-    TableOptions, Wal, WalError, WalStats,
+    DurableError, DurableOp, DurableStore, IndexKind, NullPolicy, Snapshot, StateMachine, Table,
+    TableOptions,
 };
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -39,30 +35,37 @@ struct Compiled {
     plan_span: Span,
 }
 
-/// A MongoDB-like document store.
-///
-/// Writes mutate the master collection map under its write lock and then
-/// publish an immutable copy-on-write snapshot; reads pin the snapshot
-/// and never hold the lock across pipeline execution.
+/// The document store's durable state: its collections and the `_id`
+/// counter. The counter is part of the state — advanced only by applying
+/// an `Ingest` — so the ids a history assigns do not depend on whether a
+/// recovery happened in the middle of it.
+#[derive(Clone)]
+pub struct Collections {
+    tables: HashMap<String, Table>,
+    next_id: i64,
+}
+
+impl Default for Collections {
+    fn default() -> Collections {
+        Collections {
+            tables: HashMap::new(),
+            next_id: 1,
+        }
+    }
+}
+
+/// A MongoDB-like document store: a [`DurableStore`] over
+/// [`Collections`] plus the aggregation-pipeline front-end. Dereferences
+/// to the shell for durability, recovery, fault injection and snapshot
+/// introspection; reads pin the shell's committed snapshot and never
+/// hold a lock across pipeline execution.
 pub struct DocStore {
-    collections: RwLock<HashMap<String, Table>>,
-    /// The committed-state snapshot readers run against; republished
-    /// after every master mutation.
-    published: SnapshotCell<HashMap<String, Table>>,
-    next_id: AtomicI64,
+    shell: DurableStore<Collections>,
     /// Ablation switch: disable index selection in the pipeline optimizer.
     use_indexes: bool,
-    /// Catalog version: bumped on DDL and inserts (inserts can change
-    /// `Index::is_complete`, which changes the optimizer's index choices).
-    /// Shared helper with the other substrates; crash recovery advances
-    /// it past the pre-crash value.
-    version: CatalogVersion,
-    /// Compiled pipelines keyed by `(collection, pipeline text)`.
+    /// Compiled pipelines keyed by `(collection, pipeline text)`, at the
+    /// catalog version of the snapshot they were compiled against.
     plan_cache: VersionedCache<(String, String), CachedPipeline>,
-    /// Optional fault-injection plan consulted at `aggregate` entry points.
-    faults: Mutex<Option<Arc<FaultPlan>>>,
-    /// Optional write-ahead log (see [`DocStore::enable_durability`]).
-    wal: Mutex<Option<Arc<Wal>>>,
 }
 
 impl Default for DocStore {
@@ -71,111 +74,20 @@ impl Default for DocStore {
     }
 }
 
+impl std::ops::Deref for DocStore {
+    type Target = DurableStore<Collections>;
+    fn deref(&self) -> &DurableStore<Collections> {
+        &self.shell
+    }
+}
+
 impl DocStore {
     /// Empty store.
     pub fn new() -> DocStore {
         DocStore {
-            collections: RwLock::new(HashMap::new()),
-            published: SnapshotCell::new(HashMap::new()),
-            next_id: AtomicI64::new(1),
+            shell: DurableStore::new("docstore", Collections::default()),
             use_indexes: true,
-            version: CatalogVersion::new(),
             plan_cache: VersionedCache::new(PLAN_CACHE_CAPACITY),
-            faults: Mutex::new(None),
-            wal: Mutex::new(None),
-        }
-    }
-
-    /// Install (or clear) a fault-injection plan consulted at every
-    /// `aggregate` entry point. Cluster shard execution
-    /// ([`DocStore::aggregate_stages`]) is exempt — the cluster layer
-    /// injects at its own shard boundary instead.
-    pub fn set_fault_plan(&self, plan: Option<Arc<FaultPlan>>) {
-        *self.faults.lock() = plan.clone();
-        if let Some(wal) = self.wal() {
-            wal.set_faults(plan);
-        }
-    }
-
-    /// The currently installed fault plan, if any.
-    pub fn fault_plan(&self) -> Option<Arc<FaultPlan>> {
-        self.faults.lock().clone()
-    }
-
-    /// Consult the fault plan before running a pipeline.
-    fn check_faults(&self) -> Result<()> {
-        let plan = self.faults.lock().clone();
-        if let Some(plan) = plan {
-            let site = "docstore";
-            match plan.next_fault(site) {
-                None => {}
-                Some(FaultKind::Error) => {
-                    return Err(DocError::Transient(format!("injected fault at {site}")))
-                }
-                Some(FaultKind::Latency(d)) => std::thread::sleep(d),
-                Some(FaultKind::Hang(d)) => {
-                    std::thread::sleep(d);
-                    return Err(DocError::Transient(format!("injected hang at {site}")));
-                }
-                Some(FaultKind::Crash) | Some(FaultKind::TornWrite(_)) => {
-                    return Err(self.simulate_query_crash(site));
-                }
-                Some(FaultKind::Panic) => panic!("injected panic at {site}"),
-            }
-        }
-        Ok(())
-    }
-
-    /// Pin the current committed snapshot for a read (one `Arc` clone).
-    fn pinned(&self) -> Arc<HashMap<String, Table>> {
-        self.published.load()
-    }
-
-    /// Publish a fresh snapshot of the master map. Callers hold the
-    /// master write lock and call this only after the mutation (or its
-    /// recovery) committed — a torn state is never published.
-    fn publish_locked(&self, map: &HashMap<String, Table>) {
-        self.published.publish(map.clone());
-    }
-
-    /// Epoch of the most recent snapshot publication (0 = construction).
-    pub fn snapshot_epoch(&self) -> u64 {
-        self.published.epoch()
-    }
-
-    /// Detect a master lock poisoned by a panic mid-write (an op
-    /// committed to the WAL but absent from memory) and rebuild through
-    /// the recovery path before serving anything.
-    fn heal_poisoned(&self) -> Result<()> {
-        if !self.collections.poisoned() {
-            return Ok(());
-        }
-        let mut map = self.collections.write();
-        if !self.collections.poisoned() {
-            return Ok(()); // another session healed while we waited
-        }
-        let wal = self.wal().ok_or_else(|| {
-            DocError::Corruption(
-                "store state torn by a panic mid-apply and no log is attached to rebuild from"
-                    .to_string(),
-            )
-        })?;
-        self.recover_locked(&mut map, &wal)?;
-        self.collections.clear_poison();
-        self.publish_locked(&map);
-        Ok(())
-    }
-
-    /// The injected-panic point between the WAL append (the commit
-    /// point) and the in-memory apply — see `FaultPlan::panic_at`. Gated
-    /// on an armed target so plans that never aim here draw nothing.
-    fn apply_panic_point(&self) {
-        let plan = self.faults.lock().clone();
-        if let Some(plan) = plan {
-            let site = "docstore/apply";
-            if plan.has_target_at(site) && plan.next_fault(site) == Some(FaultKind::Panic) {
-                panic!("injected panic at {site}");
-            }
         }
     }
 
@@ -190,267 +102,51 @@ impl DocStore {
     /// Create (or replace) a collection. Every collection has a unique-`_id`
     /// primary index, like MongoDB.
     pub fn create_collection(&self, name: &str) -> Result<()> {
-        self.heal_poisoned()?;
-        let mut map = self.collections.write();
-        let result = self.durable_apply(
-            &mut map,
-            DurableOp::Create {
-                namespace: String::new(),
-                name: name.to_string(),
-                key: None,
-            },
-        );
-        // Publish on success AND failure: a failed apply may have
-        // crash-recovered the master in place, and that rebuilt state
-        // must become visible to readers.
-        self.publish_locked(&map);
-        result
-    }
-
-    /// Advance the catalog version, invalidating every cached plan.
-    fn bump_version(&self) {
-        self.version.bump();
+        self.commit(DurableOp::Create {
+            namespace: String::new(),
+            name: name.to_string(),
+            key: None,
+        })
     }
 
     /// Insert documents, assigning `_id`s where absent. The durable log
     /// records the post-assignment documents, so replay reproduces the
-    /// same `_id`s without re-running the counter.
+    /// same `_id`s.
     pub fn insert_many(
         &self,
         collection: &str,
         docs: impl IntoIterator<Item = Record>,
     ) -> Result<usize> {
-        self.heal_poisoned()?;
-        let mut map = self.collections.write();
-        // Validate before logging so the op can never fail post-append.
-        if !map.contains_key(collection) {
-            return Err(DocError::UnknownCollection(collection.to_string()));
-        }
-        let docs: Vec<Record> = docs
-            .into_iter()
-            .map(|doc| {
-                if doc.contains("_id") {
-                    doc
-                } else {
-                    let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-                    // `_id` leads the document, like MongoDB's insertion rule.
-                    let mut with_id = Record::with_capacity(doc.len() + 1);
-                    with_id.insert("_id", id);
-                    for (k, v) in doc.iter() {
-                        with_id.insert(k.to_string(), v.clone());
-                    }
-                    with_id
-                }
-            })
-            .collect();
-        let n = docs.len();
-        let result = self.durable_apply(
-            &mut map,
-            DurableOp::Ingest {
-                namespace: String::new(),
-                name: collection.to_string(),
-                records: docs,
-            },
-        );
-        self.publish_locked(&map);
-        result?;
+        let records: Vec<Record> = docs.into_iter().collect();
+        let n = records.len();
+        self.commit(DurableOp::Ingest {
+            namespace: String::new(),
+            name: collection.to_string(),
+            records,
+        })?;
         Ok(n)
     }
 
     /// Create a secondary index.
     pub fn create_index(&self, collection: &str, attribute: &str) -> Result<String> {
-        self.heal_poisoned()?;
-        let mut map = self.collections.write();
-        if !map.contains_key(collection) {
-            return Err(DocError::UnknownCollection(collection.to_string()));
-        }
-        let result = self.durable_apply(
-            &mut map,
-            DurableOp::Index {
-                namespace: String::new(),
-                name: collection.to_string(),
-                attribute: attribute.to_string(),
-            },
-        );
-        self.publish_locked(&map);
-        result?;
-        let name = map
+        self.commit(DurableOp::Index {
+            namespace: String::new(),
+            name: collection.to_string(),
+            attribute: attribute.to_string(),
+        })?;
+        self.pin()?
+            .tables
             .get(collection)
             .and_then(|t| t.index_on(attribute).map(|ix| ix.name().to_string()))
-            .ok_or_else(|| DocError::UnknownCollection(collection.to_string()))?;
-        Ok(name)
-    }
-
-    /// Attach a write-ahead log backed by `media` and recover whatever
-    /// committed state it holds (empty media recovers to an empty store).
-    /// Subsequent DDL and inserts are logged before they are applied.
-    pub fn enable_durability(
-        &self,
-        media: Arc<LogMedia>,
-        policy: CheckpointPolicy,
-    ) -> Result<RecoveryReport> {
-        let wal = Arc::new(Wal::new(media, "docstore", policy));
-        wal.set_faults(self.faults.lock().clone());
-        let mut map = self.collections.write();
-        let report = self.recover_locked(&mut map, &wal)?;
-        self.collections.clear_poison();
-        self.publish_locked(&map);
-        *self.wal.lock() = Some(wal);
-        Ok(report)
-    }
-
-    /// Whether a WAL is attached.
-    pub fn durability_enabled(&self) -> bool {
-        self.wal.lock().is_some()
-    }
-
-    /// WAL activity counters, when durability is enabled.
-    pub fn wal_stats(&self) -> Option<WalStats> {
-        self.wal().map(|w| w.stats())
-    }
-
-    /// Wipe in-memory state and rebuild it from the attached log, as a
-    /// restarted process would. Errors when durability is not enabled.
-    pub fn recover(&self) -> Result<RecoveryReport> {
-        let wal = self
-            .wal()
-            .ok_or_else(|| DocError::Exec("durability is not enabled".to_string()))?;
-        let mut map = self.collections.write();
-        let report = self.recover_locked(&mut map, &wal)?;
-        self.collections.clear_poison();
-        self.publish_locked(&map);
-        Ok(report)
-    }
-
-    /// The compacted op list that rebuilds this store's current state
-    /// from empty — what a checkpoint writes. Exposed so tests can
-    /// assert two stores are byte-identical.
-    pub fn durable_snapshot(&self) -> Vec<DurableOp> {
-        let _ = self.heal_poisoned();
-        snapshot_ops(&self.pinned())
-    }
-
-    /// The attached WAL, when durability is enabled. The replication
-    /// layer installs its shipping observer and reads the committed
-    /// tail through this handle.
-    pub fn wal_handle(&self) -> Option<Arc<Wal>> {
-        self.wal()
-    }
-
-    /// Atomically pin the current committed state and its log position:
-    /// the compacted op list plus the LSN the next append will receive.
-    /// Taking the master read lock excludes writers, so the ops and the
-    /// pin always agree. Errors when durability is not enabled.
-    pub fn pinned_ops(&self) -> Result<(Vec<DurableOp>, u64)> {
-        let wal = self
-            .wal()
-            .ok_or_else(|| DocError::Exec("durability is not enabled".to_string()))?;
-        self.heal_poisoned()?;
-        let map = self.collections.read();
-        Ok((snapshot_ops(&map), wal.next_lsn()))
-    }
-
-    fn wal(&self) -> Option<Arc<Wal>> {
-        self.wal.lock().clone()
-    }
-
-    /// An injected `Crash` at the query site: the process "dies" and
-    /// restarts, rebuilding the store from its log before the caller's
-    /// retry arrives.
-    fn simulate_query_crash(&self, site: &str) -> DocError {
-        if let Some(wal) = self.wal() {
-            let mut map = self.collections.write();
-            if let Err(e) = self.recover_locked(&mut map, &wal) {
-                return e;
-            }
-            self.collections.clear_poison();
-            self.publish_locked(&map);
-        }
-        DocError::Transient(format!("process crashed at {site}; store recovered"))
-    }
-
-    /// Replace the collection map with the state recovered from `wal`'s
-    /// media. The catalog version advances strictly past its pre-crash
-    /// value (stale plan-cache entries must miss) and the `_id` counter
-    /// resumes past the largest recovered `_id`.
-    fn recover_locked(
-        &self,
-        map: &mut HashMap<String, Table>,
-        wal: &Wal,
-    ) -> Result<RecoveryReport> {
-        let pre_crash_version = self.version.current();
-        let (ops, report) = wal.recover().map_err(wal_err)?;
-        let mut fresh = HashMap::new();
-        for op in ops {
-            apply_op(&mut fresh, op)?;
-        }
-        let max_id = fresh
-            .values()
-            .flat_map(|t| t.heap().scan())
-            .filter_map(|(_, r)| match r.get("_id") {
-                Some(Value::Int(id)) => Some(*id),
-                _ => None,
-            })
-            .max()
-            .unwrap_or(0);
-        self.next_id
-            .store(max_id.saturating_add(1).max(1), Ordering::Release);
-        self.version.advance_past(pre_crash_version);
-        *map = fresh;
-        Ok(report)
-    }
-
-    /// Log `op` (when durability is on), apply it, and checkpoint when
-    /// due. An injected crash at any WAL site wipes the store, recovers
-    /// it from the log, and surfaces as a transient error.
-    fn durable_apply(&self, map: &mut HashMap<String, Table>, op: DurableOp) -> Result<()> {
-        if let Some(wal) = self.wal() {
-            if let Err(e) = wal.append(&op) {
-                return Err(self.crash_recover(map, &wal, e));
-            }
-        }
-        // The op is now committed (on the log, when one is attached) but
-        // not yet applied in memory; a panic here leaves the master map
-        // torn and its lock poisoned, which `heal_poisoned` repairs.
-        self.apply_panic_point();
-        apply_op(map, op)?;
-        self.bump_version();
-        if let Some(wal) = self.wal() {
-            if wal.checkpoint_due() {
-                let ops = snapshot_ops(map);
-                if let Err(e) = wal.checkpoint(&ops) {
-                    return Err(self.crash_recover(map, &wal, e));
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Handle a WAL failure under the store's write lock: crashes
-    /// recover in place, corruption is surfaced as fatal.
-    fn crash_recover(
-        &self,
-        map: &mut HashMap<String, Table>,
-        wal: &Wal,
-        err: WalError,
-    ) -> DocError {
-        match err {
-            WalError::Crashed { site } => match self.recover_locked(map, wal) {
-                Ok(_) => DocError::Transient(format!(
-                    "process crashed at {site}; store recovered from log"
-                )),
-                Err(e) => e,
-            },
-            WalError::Corruption(m) => DocError::Corruption(m),
-        }
+            .ok_or_else(|| DocError::UnknownCollection(collection.to_string()))
     }
 
     /// O(1) metadata count — the fast path `aggregate` pipelines CANNOT use
     /// (the paper's expression-1 observation).
     pub fn count_documents(&self, collection: &str) -> Result<usize> {
-        self.heal_poisoned()?;
-        let map = self.pinned();
-        let table = map
+        let pin = self.pin()?;
+        let table = pin
+            .tables
             .get(collection)
             .ok_or_else(|| DocError::UnknownCollection(collection.to_string()))?;
         Ok(table.stats().record_count())
@@ -458,20 +154,23 @@ impl DocStore {
 
     /// Names of all collections.
     pub fn collection_names(&self) -> Vec<String> {
-        let _ = self.heal_poisoned();
-        self.pinned().keys().cloned().collect()
+        self.pin()
+            .map(|pin| pin.tables.keys().cloned().collect())
+            .unwrap_or_default()
     }
 
-    /// The one text-compile path: probe the plan cache at the current
-    /// catalog version; on a miss, parse the pipeline and optimize its
-    /// body. Shared by `aggregate`, `aggregate_traced` and `explain`.
+    /// The one text-compile path: probe the plan cache at the pinned
+    /// snapshot's catalog version; on a miss, parse the pipeline and
+    /// optimize its body against that snapshot. Shared by `aggregate`,
+    /// `aggregate_traced` and `explain`.
     fn compiled(
         &self,
-        map: &HashMap<String, Table>,
+        pin: &Snapshot<Collections>,
         collection: &str,
         pipeline_json: &str,
     ) -> Result<Compiled> {
-        let version = self.version.current();
+        let map = &pin.tables;
+        let version = pin.version();
         let key = (collection.to_string(), pipeline_json.to_string());
         let probe_started = std::time::Instant::now();
         if let Some(plan) = self.plan_cache.get(&key, version) {
@@ -512,16 +211,14 @@ impl DocStore {
 
     /// Run an aggregation pipeline given as JSON text.
     pub fn aggregate(&self, collection: &str, pipeline_json: &str) -> Result<Vec<Value>> {
-        self.heal_poisoned()?;
-        self.check_faults()?;
         let (results, out_target) = {
-            let map = self.pinned();
-            let compiled = self.compiled(&map, collection, pipeline_json)?;
+            let pin = self.pin_query()?;
+            let compiled = self.compiled(&pin, collection, pipeline_json)?;
             let out_target = match compiled.plan.stages.last() {
                 Some(Stage::Out(target)) => Some(target.clone()),
                 _ => None,
             };
-            let rows = run_pipeline(&map, collection, &compiled.plan.body, &Vars::new())?;
+            let rows = run_pipeline(&pin.tables, collection, &compiled.plan.body, &Vars::new())?;
             (rows, out_target)
         };
         if let Some(target) = out_target {
@@ -544,10 +241,9 @@ impl DocStore {
             _ => (stages, None),
         };
         let results = {
-            self.heal_poisoned()?;
-            let map = self.pinned();
-            let phys = self.optimize_for(&map, collection, stages)?;
-            run_pipeline(&map, collection, &phys, &Vars::new())?
+            let pin = self.pin()?;
+            let phys = self.optimize_for(&pin.tables, collection, stages)?;
+            run_pipeline(&pin.tables, collection, &phys, &Vars::new())?
         };
         if let Some(target) = out_target {
             self.create_collection(&target)?;
@@ -570,18 +266,17 @@ impl DocStore {
         collection: &str,
         pipeline_json: &str,
     ) -> Result<(Vec<Value>, Span)> {
-        self.heal_poisoned()?;
-        self.check_faults()?;
+        let pin = self.pin_query()?;
         let started = std::time::Instant::now();
 
         let (rows, out_target, parse_span, plan_span, exec_span) = {
-            let map = self.pinned();
+            let map = &pin.tables;
             let Compiled {
                 plan,
                 hit,
                 parse_span,
                 mut plan_span,
-            } = self.compiled(&map, collection, pipeline_json)?;
+            } = self.compiled(&pin, collection, pipeline_json)?;
             let access_path = plan.body.describe();
             let index_used = access_path.contains("IXSCAN");
             plan_span.set_metric("index_used", i64::from(index_used));
@@ -591,7 +286,7 @@ impl DocStore {
             plan_span.set_metric("cache_lookup", 1);
 
             let mut exec_t = SpanTimer::start("exec");
-            let rows = run_pipeline(&map, collection, &plan.body, &Vars::new())?;
+            let rows = run_pipeline(map, collection, &plan.body, &Vars::new())?;
             if !index_used {
                 if let Some(table) = map.get(collection) {
                     exec_t
@@ -630,10 +325,9 @@ impl DocStore {
 
     /// EXPLAIN-style description of the access path chosen for a pipeline.
     pub fn explain(&self, collection: &str, pipeline_json: &str) -> Result<String> {
-        self.heal_poisoned()?;
-        let map = self.pinned();
+        let pin = self.pin()?;
         Ok(self
-            .compiled(&map, collection, pipeline_json)?
+            .compiled(&pin, collection, pipeline_json)?
             .plan
             .body
             .describe())
@@ -668,9 +362,9 @@ impl DocStore {
         attribute: &str,
         key: &Value,
     ) -> Result<Vec<Record>> {
-        self.heal_poisoned()?;
-        let map = self.pinned();
-        let table = map
+        let pin = self.pin()?;
+        let table = pin
+            .tables
             .get(collection)
             .ok_or_else(|| DocError::UnknownCollection(collection.to_string()))?;
         match table.index_on(attribute) {
@@ -692,88 +386,110 @@ impl DocStore {
     }
 }
 
-/// Map a WAL failure observed during recovery itself.
-fn wal_err(e: WalError) -> DocError {
-    match e {
-        WalError::Crashed { site } => {
-            DocError::Transient(format!("process crashed at {site} during recovery"))
-        }
-        WalError::Corruption(m) => DocError::Corruption(m),
-    }
-}
+impl StateMachine for Collections {
+    type Error = DocError;
 
-/// Apply a logged op to the collection map. Ops were validated before
-/// they were logged, so a failure here means the log references state
-/// it never created — corruption, not a user error.
-fn apply_op(map: &mut HashMap<String, Table>, op: DurableOp) -> Result<()> {
-    match op {
-        DurableOp::Create { name, .. } => {
-            map.insert(
-                name.clone(),
-                Table::new(
-                    name,
-                    TableOptions {
-                        primary_key: Some("_id".to_string()),
-                        // Paper (section IV.E): "missing values are not
-                        // present in their indexes" for MongoDB.
-                        secondary_null_policy: NullPolicy::SkipNulls,
-                    },
-                ),
-            );
+    /// Check the target collection exists and give id-less ingested
+    /// documents their `_id`s (shipped and replayed documents already
+    /// carry theirs).
+    fn prepare(&self, mut op: DurableOp) -> Result<DurableOp> {
+        if let DurableOp::Ingest { name, .. } | DurableOp::Index { name, .. } = &op {
+            if !self.tables.contains_key(name) {
+                return Err(DocError::UnknownCollection(name.clone()));
+            }
         }
-        DurableOp::Ingest { name, records, .. } => {
-            let table = map.get_mut(&name).ok_or_else(|| {
-                DocError::Corruption(format!("log ingests into unknown collection {name}"))
-            })?;
-            table.insert_all(records);
+        if let DurableOp::Ingest { records, .. } = &mut op {
+            let id_less = records.iter_mut().filter(|doc| !doc.contains("_id"));
+            for (id, doc) in (self.next_id..).zip(id_less) {
+                // `_id` leads the document, like MongoDB's insertion rule.
+                let mut with_id = Record::with_capacity(doc.len() + 1);
+                with_id.insert("_id", id);
+                for (k, v) in doc.iter() {
+                    with_id.insert(k.to_string(), v.clone());
+                }
+                *doc = with_id;
+            }
         }
-        DurableOp::Index {
-            name, attribute, ..
-        } => {
-            let table = map.get_mut(&name).ok_or_else(|| {
-                DocError::Corruption(format!("log indexes unknown collection {name}"))
-            })?;
-            table.create_index(&attribute);
-        }
+        Ok(op)
     }
-    Ok(())
-}
 
-/// The compacted op list that rebuilds `map` from empty: per collection
-/// (sorted by name) a `Create`, its secondary `Index`es, and one
-/// `Ingest` of the heap in scan order — so replay feeds every B+tree
-/// the same key sequence the original history did.
-fn snapshot_ops(map: &HashMap<String, Table>) -> Vec<DurableOp> {
-    let mut names: Vec<String> = map.keys().cloned().collect();
-    names.sort();
-    let mut ops = Vec::new();
-    for name in names {
-        let Some(table) = map.get(&name) else {
-            continue;
+    fn apply(&mut self, op: DurableOp) -> std::result::Result<(), DurableError> {
+        let unknown = |what: &str, name: &str| {
+            DurableError::Corruption(format!("log {what} unknown collection {name}"))
         };
-        ops.push(DurableOp::Create {
-            namespace: String::new(),
-            name: name.clone(),
-            key: None,
-        });
-        for ix in table
-            .indexes()
-            .iter()
-            .filter(|ix| ix.kind() == IndexKind::Secondary)
-        {
-            ops.push(DurableOp::Index {
+        match op {
+            DurableOp::Create { name, .. } => {
+                let options = TableOptions {
+                    primary_key: Some("_id".to_string()),
+                    // Paper (section IV.E): "missing values are not
+                    // present in their indexes" for MongoDB.
+                    secondary_null_policy: NullPolicy::SkipNulls,
+                };
+                self.tables.insert(name.clone(), Table::new(name, options));
+            }
+            DurableOp::Ingest { name, records, .. } => {
+                let table = self
+                    .tables
+                    .get_mut(&name)
+                    .ok_or_else(|| unknown("ingests into", &name))?;
+                // The counter resumes past every integer `_id` seen,
+                // assigned or explicit.
+                for doc in &records {
+                    if let Some(Value::Int(id)) = doc.get("_id") {
+                        self.next_id = self.next_id.max(id.saturating_add(1));
+                    }
+                }
+                table.insert_all(records);
+            }
+            DurableOp::Index {
+                name, attribute, ..
+            } => {
+                self.tables
+                    .get_mut(&name)
+                    .ok_or_else(|| unknown("indexes", &name))?
+                    .create_index(&attribute);
+            }
+        }
+        Ok(())
+    }
+
+    /// Per collection (sorted by name) a `Create`, its secondary
+    /// `Index`es, and one `Ingest` of the heap in scan order — so replay
+    /// feeds every B+tree the same key sequence the original history did.
+    fn snapshot_ops(&self) -> Vec<DurableOp> {
+        let mut names: Vec<&String> = self.tables.keys().collect();
+        names.sort();
+        let mut ops = Vec::new();
+        for name in names {
+            let table = &self.tables[name];
+            ops.push(DurableOp::Create {
                 namespace: String::new(),
                 name: name.clone(),
-                attribute: ix.attribute().to_string(),
+                key: None,
+            });
+            for ix in table
+                .indexes()
+                .iter()
+                .filter(|ix| ix.kind() == IndexKind::Secondary)
+            {
+                ops.push(DurableOp::Index {
+                    namespace: String::new(),
+                    name: name.clone(),
+                    attribute: ix.attribute().to_string(),
+                });
+            }
+            ops.push(DurableOp::Ingest {
+                namespace: String::new(),
+                name: name.clone(),
+                records: table.heap().scan().map(|(_, r)| r.clone()).collect(),
             });
         }
-        ops.push(DurableOp::Ingest {
-            namespace: String::new(),
-            name,
-            records: table.heap().scan().map(|(_, r)| r.clone()).collect(),
-        });
+        ops
     }
-    ops
+
+    fn empty(&self) -> Collections {
+        Collections::default()
+    }
 }
 
 #[cfg(test)]
@@ -983,6 +699,41 @@ mod tests {
             )
             .unwrap();
         assert!(explain.contains("IXSCAN eq(lang)"), "{explain}");
+    }
+
+    /// A reader that pinned its snapshot before a write committed must
+    /// cache the plan it compiles under *that snapshot's* version: the
+    /// insert below makes the `k` index incomplete, so an ordered index
+    /// scan — correct for the pinned state — would drop the new document
+    /// if a later reader were served it.
+    #[test]
+    fn plan_compiled_against_an_old_pin_is_not_served_to_newer_snapshots() {
+        let pipeline = r#"[{"$match":{}},{"$sort":{"k":1}},{"$limit":5}]"#;
+        let load = |docs: Vec<Record>| {
+            let store = DocStore::new();
+            store.create_collection("c").unwrap();
+            store.create_index("c", "k").unwrap();
+            store.insert_many("c", docs).unwrap();
+            store
+        };
+        let store = load(vec![record! {"k" => 1i64}, record! {"k" => 2i64}]);
+        let old_pin = store.pin().unwrap();
+        store.insert_many("c", vec![record! {"x" => 0i64}]).unwrap();
+
+        let stale = store.compiled(&old_pin, "c", pipeline).unwrap();
+        assert!(stale.plan.body.describe().contains("IXSCAN"));
+
+        let misses = store.plan_cache_stats().misses;
+        let fresh = load(vec![
+            record! {"k" => 1i64},
+            record! {"k" => 2i64},
+            record! {"x" => 0i64},
+        ]);
+        assert_eq!(
+            store.aggregate("c", pipeline).unwrap(),
+            fresh.aggregate("c", pipeline).unwrap()
+        );
+        assert_eq!(store.plan_cache_stats().misses, misses + 1);
     }
 
     #[test]

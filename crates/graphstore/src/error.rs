@@ -1,5 +1,6 @@
 //! Graph-store error type.
 
+use polyframe_storage::{DurableError, StoreError};
 use std::fmt;
 
 /// Errors produced by the graph store.
@@ -15,12 +16,10 @@ pub enum GraphError {
     Exec(String),
     /// Property value not storable in a node record (nested structures).
     UnsupportedProperty(String),
-    /// A transient (retryable) backend condition: a dropped connection,
-    /// a shard timeout, or an injected fault. Retrying may succeed.
-    Transient(String),
-    /// The store's write-ahead log or snapshot failed its integrity
-    /// check. Non-retryable: the durable state itself is damaged.
-    Corruption(String),
+    /// A failure of the durable-store shell: a transient (retryable)
+    /// condition — a dropped connection, a shard timeout, an injected
+    /// fault — or non-retryable corruption of the log or snapshot.
+    Durable(DurableError),
 }
 
 impl fmt::Display for GraphError {
@@ -33,23 +32,37 @@ impl fmt::Display for GraphError {
             GraphError::UnsupportedProperty(m) => {
                 write!(f, "unsupported property value: {m}")
             }
-            GraphError::Transient(m) => write!(f, "{m}"),
-            GraphError::Corruption(m) => write!(f, "log corruption: {m}"),
+            GraphError::Durable(e) => write!(f, "{e}"),
         }
     }
 }
 
 impl std::error::Error for GraphError {}
 
+impl From<DurableError> for GraphError {
+    fn from(e: DurableError) -> GraphError {
+        GraphError::Durable(e)
+    }
+}
+
+impl StoreError for GraphError {
+    fn durable(&self) -> Option<&DurableError> {
+        match self {
+            GraphError::Durable(e) => Some(e),
+            _ => None,
+        }
+    }
+}
+
 impl GraphError {
     /// Whether retrying the failed operation may succeed.
     pub fn is_transient(&self) -> bool {
-        matches!(self, GraphError::Transient(_))
+        matches!(self, GraphError::Durable(DurableError::Transient(_)))
     }
 
     /// Whether this error reports damaged durable state.
     pub fn is_corruption(&self) -> bool {
-        matches!(self, GraphError::Corruption(_))
+        matches!(self, GraphError::Durable(DurableError::Corruption(_)))
     }
 }
 

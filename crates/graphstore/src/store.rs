@@ -3,13 +3,8 @@
 
 use crate::error::{GraphError, Result};
 use polyframe_datamodel::{Record, Value};
-use polyframe_observe::sync::RwLock;
-use polyframe_observe::{CatalogVersion, SnapshotCell};
-use polyframe_storage::{
-    CheckpointPolicy, DurableOp, LogMedia, RecoveryReport, Wal, WalError, WalStats,
-};
+use polyframe_storage::{DurableError, DurableOp, DurableStore, StateMachine};
 use std::collections::HashMap;
-use std::sync::Arc;
 
 pub(crate) use polyframe_storage::{BPlusTree, Direction, ScanRange};
 
@@ -228,107 +223,117 @@ fn validate_node(record: &Record) -> Result<()> {
     Ok(())
 }
 
-/// Map a WAL failure observed during recovery itself.
-fn wal_err(e: WalError) -> GraphError {
-    match e {
-        WalError::Crashed { site } => {
-            GraphError::Transient(format!("process crashed at {site} during recovery"))
-        }
-        WalError::Corruption(m) => GraphError::Corruption(m),
+/// The graph store's durable state: labels with their node stores.
+#[derive(Clone, Default)]
+pub struct Labels(HashMap<String, LabelStore>);
+
+impl std::ops::Deref for Labels {
+    type Target = HashMap<String, LabelStore>;
+    fn deref(&self) -> &HashMap<String, LabelStore> {
+        &self.0
     }
 }
 
-/// Apply a logged op to the label map. Ops were validated before they
-/// were logged, so a failure here means the log is inconsistent with
-/// the state it claims to rebuild — corruption, not a user error.
-fn apply_op(map: &mut HashMap<String, LabelStore>, op: DurableOp) -> Result<()> {
-    match op {
-        DurableOp::Create { name, .. } => {
-            map.entry(name).or_insert_with(LabelStore::new);
-        }
-        DurableOp::Ingest { name, records, .. } => {
-            let store = map.entry(name.clone()).or_insert_with(LabelStore::new);
-            for rec in records {
-                store
-                    .insert(rec)
-                    .map_err(|e| GraphError::Corruption(format!("replaying {name} ingest: {e}")))?;
+impl StateMachine for Labels {
+    type Error = GraphError;
+
+    /// Mirrors the checks [`LabelStore::insert`] and `create_index`
+    /// perform, so a logged op can never fail when applied.
+    fn prepare(&self, op: DurableOp) -> Result<DurableOp> {
+        match &op {
+            DurableOp::Create { .. } => {}
+            DurableOp::Ingest { records, .. } => records.iter().try_for_each(validate_node)?,
+            DurableOp::Index { name, .. } => {
+                if !self.contains_key(name) {
+                    return Err(GraphError::UnknownLabel(name.clone()));
+                }
             }
         }
-        DurableOp::Index {
-            name, attribute, ..
-        } => {
-            let store = map.get_mut(&name).ok_or_else(|| {
-                GraphError::Corruption(format!("log indexes unknown label {name}"))
-            })?;
-            store.create_index(&attribute);
-        }
+        Ok(op)
     }
-    Ok(())
-}
 
-/// The compacted op list that rebuilds `map` from empty: per label
-/// (sorted by name) a `Create`, its property `Index`es, and one
-/// `Ingest` of the nodes in insertion order. Replaying materialized
-/// nodes re-registers property names and re-fills the string store in
-/// the original encounter order, so the rebuilt layout is identical.
-fn snapshot_ops(map: &HashMap<String, LabelStore>) -> Vec<DurableOp> {
-    let mut names: Vec<String> = map.keys().cloned().collect();
-    names.sort();
-    let mut ops = Vec::new();
-    for name in names {
-        let Some(store) = map.get(&name) else {
-            continue;
-        };
-        ops.push(DurableOp::Create {
-            namespace: String::new(),
-            name: name.clone(),
-            key: None,
-        });
-        for prop in store.index_props() {
-            ops.push(DurableOp::Index {
+    fn apply(&mut self, op: DurableOp) -> std::result::Result<(), DurableError> {
+        match op {
+            DurableOp::Create { name, .. } => {
+                self.0.entry(name).or_insert_with(LabelStore::new);
+            }
+            // Labels are created implicitly by their first ingest.
+            DurableOp::Ingest { name, records, .. } => {
+                let store = self.0.entry(name.clone()).or_insert_with(LabelStore::new);
+                for rec in records {
+                    store.insert(rec).map_err(|e| {
+                        DurableError::Corruption(format!("replaying {name} ingest: {e}"))
+                    })?;
+                }
+            }
+            DurableOp::Index {
+                name, attribute, ..
+            } => self
+                .0
+                .get_mut(&name)
+                .ok_or_else(|| {
+                    DurableError::Corruption(format!("log indexes unknown label {name}"))
+                })?
+                .create_index(&attribute),
+        }
+        Ok(())
+    }
+
+    /// Per label (sorted by name) a `Create`, its property `Index`es, and
+    /// one `Ingest` of the nodes in insertion order. Replaying
+    /// materialized nodes re-registers property names and re-fills the
+    /// string store in the original encounter order, so the rebuilt
+    /// layout is identical.
+    fn snapshot_ops(&self) -> Vec<DurableOp> {
+        let mut names: Vec<&String> = self.keys().collect();
+        names.sort();
+        let mut ops = Vec::new();
+        for name in names {
+            let store = &self[name];
+            ops.push(DurableOp::Create {
                 namespace: String::new(),
                 name: name.clone(),
-                attribute: prop,
+                key: None,
+            });
+            for prop in store.index_props() {
+                ops.push(DurableOp::Index {
+                    namespace: String::new(),
+                    name: name.clone(),
+                    attribute: prop,
+                });
+            }
+            ops.push(DurableOp::Ingest {
+                namespace: String::new(),
+                name: name.clone(),
+                records: store
+                    .node_indices()
+                    .map(|idx| store.materialize(idx))
+                    .collect(),
             });
         }
-        ops.push(DurableOp::Ingest {
-            namespace: String::new(),
-            name: name.clone(),
-            records: store
-                .node_indices()
-                .map(|idx| store.materialize(idx))
-                .collect(),
-        });
+        ops
     }
-    ops
+
+    fn empty(&self) -> Labels {
+        Labels::default()
+    }
 }
 
 /// Cached parsed queries per store.
 const PLAN_CACHE_CAPACITY: usize = 128;
 
-/// The graph store: labels with their node stores.
-///
-/// Writes mutate the master label map under its write lock and then
-/// publish an immutable copy-on-write snapshot; reads pin the snapshot
-/// and never hold the lock across query execution.
+/// The graph store: a [`DurableStore`] over [`Labels`] plus the Cypher
+/// front-end. Dereferences to the shell for durability, recovery, fault
+/// injection and snapshot introspection; reads pin the shell's committed
+/// snapshot and never hold a lock across query execution.
 pub struct GraphStore {
-    labels: RwLock<HashMap<String, LabelStore>>,
-    /// The committed-state snapshot readers run against; republished
-    /// after every master mutation.
-    published: SnapshotCell<HashMap<String, LabelStore>>,
+    shell: DurableStore<Labels>,
     use_indexes: bool,
-    /// Catalog version: bumped on label DDL and inserts, invalidating the
-    /// plan cache (access paths are re-derived per execution, but the
-    /// guard keeps the cache discipline uniform across backends). Shared
-    /// helper with the other substrates; crash recovery advances it past
-    /// the pre-crash value.
-    version: CatalogVersion,
-    /// Parsed queries keyed by Cypher text.
+    /// Parsed queries keyed by Cypher text, at the catalog version of the
+    /// snapshot they were parsed for (access paths are re-derived per
+    /// execution, but the guard keeps the cache discipline uniform
+    /// across backends).
     plan_cache: polyframe_observe::VersionedCache<String, crate::cypher::CypherQuery>,
-    /// Optional fault-injection plan consulted at query entry points.
-    faults: polyframe_observe::sync::Mutex<Option<std::sync::Arc<polyframe_observe::FaultPlan>>>,
-    /// Optional write-ahead log (see [`GraphStore::enable_durability`]).
-    wal: polyframe_observe::sync::Mutex<Option<Arc<Wal>>>,
 }
 
 impl Default for GraphStore {
@@ -337,111 +342,20 @@ impl Default for GraphStore {
     }
 }
 
+impl std::ops::Deref for GraphStore {
+    type Target = DurableStore<Labels>;
+    fn deref(&self) -> &DurableStore<Labels> {
+        &self.shell
+    }
+}
+
 impl GraphStore {
     /// Empty store.
     pub fn new() -> GraphStore {
         GraphStore {
-            labels: RwLock::new(HashMap::new()),
-            published: SnapshotCell::new(HashMap::new()),
+            shell: DurableStore::new("graphstore", Labels::default()),
             use_indexes: true,
-            version: CatalogVersion::new(),
             plan_cache: polyframe_observe::VersionedCache::new(PLAN_CACHE_CAPACITY),
-            faults: polyframe_observe::sync::Mutex::new(None),
-            wal: polyframe_observe::sync::Mutex::new(None),
-        }
-    }
-
-    /// Install (or clear) a fault-injection plan consulted at every query
-    /// entry point.
-    pub fn set_fault_plan(&self, plan: Option<std::sync::Arc<polyframe_observe::FaultPlan>>) {
-        *self.faults.lock() = plan.clone();
-        if let Some(wal) = self.wal() {
-            wal.set_faults(plan);
-        }
-    }
-
-    /// The currently installed fault plan, if any.
-    pub fn fault_plan(&self) -> Option<std::sync::Arc<polyframe_observe::FaultPlan>> {
-        self.faults.lock().clone()
-    }
-
-    /// Consult the fault plan before running a query.
-    fn check_faults(&self) -> Result<()> {
-        let plan = self.faults.lock().clone();
-        if let Some(plan) = plan {
-            let site = "graphstore";
-            match plan.next_fault(site) {
-                None => {}
-                Some(polyframe_observe::FaultKind::Error) => {
-                    return Err(GraphError::Transient(format!("injected fault at {site}")))
-                }
-                Some(polyframe_observe::FaultKind::Latency(d)) => std::thread::sleep(d),
-                Some(polyframe_observe::FaultKind::Hang(d)) => {
-                    std::thread::sleep(d);
-                    return Err(GraphError::Transient(format!("injected hang at {site}")));
-                }
-                Some(polyframe_observe::FaultKind::Crash)
-                | Some(polyframe_observe::FaultKind::TornWrite(_)) => {
-                    return Err(self.simulate_query_crash(site));
-                }
-                Some(polyframe_observe::FaultKind::Panic) => panic!("injected panic at {site}"),
-            }
-        }
-        Ok(())
-    }
-
-    /// Pin the current committed snapshot for a read (one `Arc` clone).
-    fn pinned(&self) -> Arc<HashMap<String, LabelStore>> {
-        self.published.load()
-    }
-
-    /// Publish a fresh snapshot of the master map. Callers hold the
-    /// master write lock and call this only after the mutation (or its
-    /// recovery) committed — a torn state is never published.
-    fn publish_locked(&self, map: &HashMap<String, LabelStore>) {
-        self.published.publish(map.clone());
-    }
-
-    /// Epoch of the most recent snapshot publication (0 = construction).
-    pub fn snapshot_epoch(&self) -> u64 {
-        self.published.epoch()
-    }
-
-    /// Detect a master lock poisoned by a panic mid-write (an op
-    /// committed to the WAL but absent from memory) and rebuild through
-    /// the recovery path before serving anything.
-    fn heal_poisoned(&self) -> Result<()> {
-        if !self.labels.poisoned() {
-            return Ok(());
-        }
-        let mut map = self.labels.write();
-        if !self.labels.poisoned() {
-            return Ok(()); // another session healed while we waited
-        }
-        let wal = self.wal().ok_or_else(|| {
-            GraphError::Corruption(
-                "store state torn by a panic mid-apply and no log is attached to rebuild from"
-                    .to_string(),
-            )
-        })?;
-        self.recover_locked(&mut map, &wal)?;
-        self.labels.clear_poison();
-        self.publish_locked(&map);
-        Ok(())
-    }
-
-    /// The injected-panic point between the WAL append (the commit
-    /// point) and the in-memory apply — see `FaultPlan::panic_at`. Gated
-    /// on an armed target so plans that never aim here draw nothing.
-    fn apply_panic_point(&self) {
-        let plan = self.faults.lock().clone();
-        if let Some(plan) = plan {
-            let site = "graphstore/apply";
-            if plan.has_target_at(site)
-                && plan.next_fault(site) == Some(polyframe_observe::FaultKind::Panic)
-            {
-                panic!("injected panic at {site}");
-            }
         }
     }
 
@@ -453,16 +367,15 @@ impl GraphStore {
         }
     }
 
-    /// Advance the catalog version, invalidating every cached query.
-    fn bump_version(&self) {
-        self.version.bump();
-    }
-
-    /// Cache-aware parse: probe the cache at the current catalog version,
-    /// parse and insert on a miss. Returns the shared AST and whether the
-    /// lookup hit. Shared by `query`, `query_traced` and `explain`.
-    fn parsed(&self, cypher: &str) -> Result<(std::sync::Arc<crate::cypher::CypherQuery>, bool)> {
-        let version = self.version.current();
+    /// Cache-aware parse: probe the cache at `version` (the pinned
+    /// snapshot's), parse and insert on a miss. Returns the shared AST
+    /// and whether the lookup hit. Shared by `query`, `query_traced` and
+    /// `explain`.
+    fn parsed(
+        &self,
+        cypher: &str,
+        version: u64,
+    ) -> Result<(std::sync::Arc<crate::cypher::CypherQuery>, bool)> {
         if let Some(ast) = self.plan_cache.get(&cypher.to_string(), version) {
             return Ok((ast, true));
         }
@@ -485,21 +398,11 @@ impl GraphStore {
 
     /// Create an (empty) label.
     pub fn create_label(&self, label: &str) -> Result<()> {
-        self.heal_poisoned()?;
-        let mut map = self.labels.write();
-        let result = self.durable_apply(
-            &mut map,
-            DurableOp::Create {
-                namespace: String::new(),
-                name: label.to_string(),
-                key: None,
-            },
-        );
-        // Publish on success AND failure: a failed apply may have
-        // crash-recovered the master in place, and that rebuilt state
-        // must become visible to readers.
-        self.publish_locked(&map);
-        result
+        self.commit(DurableOp::Create {
+            namespace: String::new(),
+            name: label.to_string(),
+            key: None,
+        })
     }
 
     /// Insert nodes under a label (created implicitly when absent).
@@ -509,193 +412,36 @@ impl GraphStore {
         records: impl IntoIterator<Item = Record>,
     ) -> Result<usize> {
         let records: Vec<Record> = records.into_iter().collect();
-        // Validate before logging: `LabelStore::insert` rejects non-scalar
-        // properties, and a logged op must never fail when applied.
-        for rec in &records {
-            validate_node(rec)?;
-        }
         let n = records.len();
-        self.heal_poisoned()?;
-        let mut map = self.labels.write();
-        let result = self.durable_apply(
-            &mut map,
-            DurableOp::Ingest {
-                namespace: String::new(),
-                name: label.to_string(),
-                records,
-            },
-        );
-        self.publish_locked(&map);
-        result?;
+        self.commit(DurableOp::Ingest {
+            namespace: String::new(),
+            name: label.to_string(),
+            records,
+        })?;
         Ok(n)
     }
 
     /// Create a property index on a label.
     pub fn create_index(&self, label: &str, prop: &str) -> Result<()> {
-        self.heal_poisoned()?;
-        let mut map = self.labels.write();
-        if !map.contains_key(label) {
-            return Err(GraphError::UnknownLabel(label.to_string()));
-        }
-        let result = self.durable_apply(
-            &mut map,
-            DurableOp::Index {
-                namespace: String::new(),
-                name: label.to_string(),
-                attribute: prop.to_string(),
-            },
-        );
-        self.publish_locked(&map);
-        result
-    }
-
-    /// Attach a write-ahead log backed by `media` and recover whatever
-    /// committed state it holds (empty media recovers to an empty store).
-    /// Subsequent DDL and inserts are logged before they are applied.
-    pub fn enable_durability(
-        &self,
-        media: Arc<LogMedia>,
-        policy: CheckpointPolicy,
-    ) -> Result<RecoveryReport> {
-        let wal = Arc::new(Wal::new(media, "graphstore", policy));
-        wal.set_faults(self.faults.lock().clone());
-        let mut map = self.labels.write();
-        let report = self.recover_locked(&mut map, &wal)?;
-        self.labels.clear_poison();
-        self.publish_locked(&map);
-        *self.wal.lock() = Some(wal);
-        Ok(report)
-    }
-
-    /// Whether a WAL is attached.
-    pub fn durability_enabled(&self) -> bool {
-        self.wal.lock().is_some()
-    }
-
-    /// WAL activity counters, when durability is enabled.
-    pub fn wal_stats(&self) -> Option<WalStats> {
-        self.wal().map(|w| w.stats())
-    }
-
-    /// Wipe in-memory state and rebuild it from the attached log, as a
-    /// restarted process would. Errors when durability is not enabled.
-    pub fn recover(&self) -> Result<RecoveryReport> {
-        let wal = self
-            .wal()
-            .ok_or_else(|| GraphError::Exec("durability is not enabled".to_string()))?;
-        let mut map = self.labels.write();
-        let report = self.recover_locked(&mut map, &wal)?;
-        self.labels.clear_poison();
-        self.publish_locked(&map);
-        Ok(report)
-    }
-
-    /// The compacted op list that rebuilds this store's current state
-    /// from empty — what a checkpoint writes. Exposed so tests can
-    /// assert two stores are byte-identical.
-    pub fn durable_snapshot(&self) -> Vec<DurableOp> {
-        let _ = self.heal_poisoned();
-        snapshot_ops(&self.pinned())
-    }
-
-    fn wal(&self) -> Option<Arc<Wal>> {
-        self.wal.lock().clone()
-    }
-
-    /// An injected `Crash` at the query site: the process "dies" and
-    /// restarts, rebuilding the store from its log before the caller's
-    /// retry arrives.
-    fn simulate_query_crash(&self, site: &str) -> GraphError {
-        if let Some(wal) = self.wal() {
-            let mut map = self.labels.write();
-            if let Err(e) = self.recover_locked(&mut map, &wal) {
-                return e;
-            }
-            self.labels.clear_poison();
-            self.publish_locked(&map);
-        }
-        GraphError::Transient(format!("process crashed at {site}; store recovered"))
-    }
-
-    /// Replace the label map with the state recovered from `wal`'s media,
-    /// keeping the catalog version strictly past its pre-crash value so
-    /// queries cached before the crash can never be served again.
-    fn recover_locked(
-        &self,
-        map: &mut HashMap<String, LabelStore>,
-        wal: &Wal,
-    ) -> Result<RecoveryReport> {
-        let pre_crash_version = self.version.current();
-        let (ops, report) = wal.recover().map_err(wal_err)?;
-        let mut fresh = HashMap::new();
-        for op in ops {
-            apply_op(&mut fresh, op)?;
-        }
-        self.version.advance_past(pre_crash_version);
-        *map = fresh;
-        Ok(report)
-    }
-
-    /// Log `op` (when durability is on), apply it, and checkpoint when
-    /// due. An injected crash at any WAL site wipes the store, recovers
-    /// it from the log, and surfaces as a transient error.
-    fn durable_apply(&self, map: &mut HashMap<String, LabelStore>, op: DurableOp) -> Result<()> {
-        if let Some(wal) = self.wal() {
-            if let Err(e) = wal.append(&op) {
-                return Err(self.crash_recover(map, &wal, e));
-            }
-        }
-        // The op is now committed (on the log, when one is attached) but
-        // not yet applied in memory; a panic here leaves the master map
-        // torn and its lock poisoned, which `heal_poisoned` repairs.
-        self.apply_panic_point();
-        apply_op(map, op)?;
-        self.bump_version();
-        if let Some(wal) = self.wal() {
-            if wal.checkpoint_due() {
-                let ops = snapshot_ops(map);
-                if let Err(e) = wal.checkpoint(&ops) {
-                    return Err(self.crash_recover(map, &wal, e));
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Handle a WAL failure under the store's write lock: crashes
-    /// recover in place, corruption is surfaced as fatal.
-    fn crash_recover(
-        &self,
-        map: &mut HashMap<String, LabelStore>,
-        wal: &Wal,
-        err: WalError,
-    ) -> GraphError {
-        match err {
-            WalError::Crashed { site } => match self.recover_locked(map, wal) {
-                Ok(_) => GraphError::Transient(format!(
-                    "process crashed at {site}; store recovered from log"
-                )),
-                Err(e) => e,
-            },
-            WalError::Corruption(m) => GraphError::Corruption(m),
-        }
+        self.commit(DurableOp::Index {
+            namespace: String::new(),
+            name: label.to_string(),
+            attribute: prop.to_string(),
+        })
     }
 
     /// O(1) metadata count for a label.
     pub fn count_nodes(&self, label: &str) -> Result<usize> {
-        self.heal_poisoned()?;
-        let map = self.pinned();
-        map.get(label)
+        self.pin()?
+            .get(label)
             .map(LabelStore::count)
             .ok_or_else(|| GraphError::UnknownLabel(label.to_string()))
     }
 
     /// Execute a Cypher query.
     pub fn query(&self, cypher: &str) -> Result<Vec<Value>> {
-        self.heal_poisoned()?;
-        self.check_faults()?;
-        let (ast, _) = self.parsed(cypher)?;
-        let map = self.pinned();
+        let map = self.pin_query()?;
+        let (ast, _) = self.parsed(cypher, map.version())?;
         crate::cypher::execute(&ast, &map, self.use_indexes)
     }
 
@@ -705,18 +451,16 @@ impl GraphStore {
     /// and whether the parsed query came from the cache.
     pub fn query_traced(&self, cypher: &str) -> Result<(Vec<Value>, polyframe_observe::Span)> {
         use polyframe_observe::{Span, SpanTimer};
-        self.heal_poisoned()?;
-        self.check_faults()?;
+        let map = self.pin_query()?;
         let started = std::time::Instant::now();
 
         let mut parse_t = SpanTimer::start("parse");
-        let (ast, hit) = self.parsed(cypher)?;
+        let (ast, hit) = self.parsed(cypher, map.version())?;
         parse_t
             .span_mut()
             .set_metric("query_len", cypher.len() as i64);
         let parse_span = parse_t.finish();
 
-        let map = self.pinned();
         let mut plan_t = SpanTimer::start("plan");
         let access_path = crate::cypher::explain(&ast, &map, self.use_indexes)?;
         let index_used =
@@ -747,9 +491,8 @@ impl GraphStore {
 
     /// EXPLAIN-style description of the chosen access path.
     pub fn explain(&self, cypher: &str) -> Result<String> {
-        self.heal_poisoned()?;
-        let (ast, _) = self.parsed(cypher)?;
-        let map = self.pinned();
+        let map = self.pin()?;
+        let (ast, _) = self.parsed(cypher, map.version())?;
         crate::cypher::explain(&ast, &map, self.use_indexes)
     }
 }
@@ -771,7 +514,7 @@ mod tests {
         )
         .unwrap();
         assert_eq!(g.count_nodes("Users").unwrap(), 2);
-        let map = g.labels.read();
+        let map = g.pin().unwrap();
         let store = map.get("Users").unwrap();
         let rec = store.materialize(0);
         assert_eq!(rec.get_or_missing("name"), Value::str("ann"));
@@ -784,7 +527,7 @@ mod tests {
         let g = GraphStore::new();
         g.insert_nodes("L", vec![record! {"a" => 1i64, "s" => "hello"}])
             .unwrap();
-        let map = g.labels.read();
+        let map = g.pin().unwrap();
         let store = map.get("L").unwrap();
         assert_eq!(store.strings.len(), 1);
         assert!(matches!(
@@ -819,7 +562,7 @@ mod tests {
         )
         .unwrap();
         g.create_index("L", "a").unwrap();
-        let map = g.labels.read();
+        let map = g.pin().unwrap();
         let store = map.get("L").unwrap();
         assert_eq!(store.index_lookup("a", &Value::Int(4)).unwrap(), vec![4]);
         assert!(store.index_lookup("a", &Value::Int(5)).unwrap().is_empty());

@@ -51,50 +51,6 @@ impl CacheStats {
     }
 }
 
-/// The monotonic catalog-version counter paired with [`VersionedCache`].
-///
-/// Every substrate (SQL engine, document store, graph store) bumps one of
-/// these on DDL, bulk loads, and index builds so stale plans silently
-/// fall out of its plan cache. Crash recovery calls
-/// [`CatalogVersion::advance_past`] with the pre-crash version so a
-/// restarted store can never serve a plan compiled before the crash.
-#[derive(Debug, Default)]
-pub struct CatalogVersion(AtomicU64);
-
-/// Cloning captures the current value into an independent counter —
-/// what a copy-on-write snapshot of a store's catalog needs: the frozen
-/// version the snapshot's plans were compiled against.
-impl Clone for CatalogVersion {
-    fn clone(&self) -> CatalogVersion {
-        CatalogVersion(AtomicU64::new(self.current()))
-    }
-}
-
-impl CatalogVersion {
-    /// A fresh counter starting at version 0.
-    pub fn new() -> CatalogVersion {
-        CatalogVersion::default()
-    }
-
-    /// The current version.
-    pub fn current(&self) -> u64 {
-        self.0.load(Ordering::Acquire)
-    }
-
-    /// Increment after a catalog-changing operation (DDL, load, index).
-    pub fn bump(&self) {
-        self.0.fetch_add(1, Ordering::Release);
-    }
-
-    /// Move strictly past `seen` (used by recovery: `seen` is the version
-    /// a crashed store had reached, so every cached plan compiled against
-    /// it — or anything earlier — misses afterwards). Never moves
-    /// backwards.
-    pub fn advance_past(&self, seen: u64) {
-        self.0.fetch_max(seen.saturating_add(1), Ordering::AcqRel);
-    }
-}
-
 /// An LRU cache whose entries are invalidated by a version counter.
 pub struct VersionedCache<K, V> {
     inner: Mutex<Inner<K, V>>,
@@ -240,22 +196,6 @@ mod tests {
         c.insert(1, 1, 11);
         assert_eq!(c.len(), 1);
         assert_eq!(c.get(&1, 1).as_deref(), Some(&11));
-    }
-
-    #[test]
-    fn catalog_version_bump_and_advance() {
-        let v = CatalogVersion::new();
-        assert_eq!(v.current(), 0);
-        v.bump();
-        v.bump();
-        assert_eq!(v.current(), 2);
-        // Recovery moves strictly past a seen version...
-        v.advance_past(7);
-        assert_eq!(v.current(), 8);
-        // ...but never backwards.
-        v.advance_past(3);
-        assert_eq!(v.current(), 8);
-        assert_eq!(CatalogVersion::default().current(), 0);
     }
 
     #[test]

@@ -14,8 +14,6 @@
 //! * [`explain`] — the structured `ExplainReport` plan tree every
 //!   backend's `explain()` returns: operators with estimated rows/cost,
 //!   personality flags consulted, and chosen-vs-rejected alternatives.
-//! * [`counters`] — cheap thread-safe monotonic counters for
-//!   process-lifetime tallies (queries executed, index probes, ...).
 //! * [`cache`] — a versioned LRU used as the plan cache by every backend,
 //!   with hit/miss stats the harness folds into its reports.
 //! * [`sync`] — `Mutex`/`RwLock` wrappers over `std::sync` with
@@ -38,7 +36,6 @@
 //! ones) so it can sit underneath every other PolyFrame crate.
 
 pub mod cache;
-pub mod counters;
 #[deny(clippy::unwrap_used)]
 pub mod epoch;
 pub mod explain;
@@ -50,8 +47,7 @@ pub mod sched;
 pub mod sync;
 pub mod trace;
 
-pub use cache::{CacheStats, CatalogVersion, VersionedCache};
-pub use counters::{Counter, CounterSnapshot, Counters};
+pub use cache::{CacheStats, VersionedCache};
 pub use epoch::SnapshotCell;
 pub use explain::{ExplainNode, ExplainReport, PlanAlternative};
 pub use fault::{FaultEvent, FaultKind, FaultPlan};

@@ -2,8 +2,7 @@
 //! "schemas" in PostgreSQL) containing tables.
 
 use crate::error::{EngineError, Result};
-use polyframe_observe::CatalogVersion;
-use polyframe_storage::{Table, TableOptions};
+use polyframe_storage::{NullPolicy, Table, TableOptions};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -13,18 +12,13 @@ use std::sync::Arc;
 /// the engine publishes for concurrent readers after each committed
 /// write — is a shallow map copy, and [`Database::dataset_mut`] deep-
 /// copies only the one table being mutated (and only while an older
-/// snapshot still shares it). The catalog version freezes at its
-/// current value in the clone.
+/// snapshot still shares it).
 #[derive(Debug, Default, Clone)]
 pub struct Database {
     tables: HashMap<(String, String), Arc<Table>>,
-    /// Monotonic catalog version: bumped on DDL and bulk loads, consumed
-    /// by the plan cache to invalidate entries compiled against an older
-    /// catalog (a new index — or new data making an index incomplete —
-    /// changes which physical plan is correct). The shared
-    /// [`CatalogVersion`] helper is also used by the document and graph
-    /// stores, and crash recovery advances it past the pre-crash value.
-    version: CatalogVersion,
+    /// Null policy of secondary indexes on datasets created by replaying
+    /// a logged `Create` (the owning engine's personality).
+    pub(crate) null_policy: NullPolicy,
 }
 
 impl Database {
@@ -33,21 +27,12 @@ impl Database {
         Database::default()
     }
 
-    /// Current catalog version.
-    pub fn version(&self) -> u64 {
-        self.version.current()
-    }
-
-    /// Advance the catalog version (callers: DDL and bulk-load paths).
-    pub fn bump_version(&self) {
-        self.version.bump();
-    }
-
-    /// Move the catalog version strictly past `seen` (recovery: `seen`
-    /// is the pre-crash version, so every plan cached before the crash
-    /// misses afterwards).
-    pub fn advance_version_past(&self, seen: u64) {
-        self.version.advance_past(seen);
+    /// Empty database whose logged datasets index nulls per `null_policy`.
+    pub fn with_null_policy(null_policy: NullPolicy) -> Database {
+        Database {
+            tables: HashMap::new(),
+            null_policy,
+        }
     }
 
     /// Create a dataset. Replaces any existing dataset of the same name.
@@ -62,7 +47,6 @@ impl Database {
             key.clone(),
             Arc::new(Table::new(format!("{namespace}.{dataset}"), options)),
         );
-        self.version.bump();
         Arc::make_mut(self.tables.get_mut(&key).unwrap())
     }
 
@@ -99,13 +83,10 @@ impl Database {
     /// Rebuild every table's statistics exactly from its heap — the
     /// checkpoint path, where the write-ahead log is compacted and the
     /// incremental (sketched) statistics are replaced with exact ones.
-    /// Bumps the catalog version so cached stats-informed plans recompile
-    /// against the fresh statistics.
     pub fn rebuild_stats(&mut self) {
         for table in self.tables.values_mut() {
             Arc::make_mut(table).rebuild_stats();
         }
-        self.version.bump();
     }
 
     /// Iterate `(namespace, dataset)` names.
@@ -120,16 +101,6 @@ impl Database {
 mod tests {
     use super::*;
     use polyframe_datamodel::record;
-
-    #[test]
-    fn version_bumps_on_ddl() {
-        let mut db = Database::new();
-        assert_eq!(db.version(), 0);
-        db.create_dataset("Test", "Users", TableOptions::default());
-        assert_eq!(db.version(), 1);
-        db.bump_version();
-        assert_eq!(db.version(), 2);
-    }
 
     #[test]
     fn create_and_lookup() {

@@ -14,13 +14,9 @@ use crate::plan::optimizer::optimize;
 use crate::plan::physical::{plan_physical, plan_physical_explained, PhysicalPlan, PlannerOptions};
 use crate::plan::stats::StatsCatalog;
 use polyframe_datamodel::{Record, Value};
-use polyframe_observe::sync::{Mutex, RwLock};
-use polyframe_observe::{
-    CacheStats, ExplainReport, FaultKind, FaultPlan, SnapshotCell, Span, SpanTimer,
-};
+use polyframe_observe::{CacheStats, ExplainReport, Span, SpanTimer};
 use polyframe_storage::{
-    CheckpointPolicy, DurableOp, IndexKind, LogMedia, RecoveryReport, TableOptions, Wal, WalError,
-    WalStats,
+    DurableError, DurableOp, DurableStore, IndexKind, Snapshot, StateMachine, TableOptions,
 };
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -96,25 +92,27 @@ impl EngineConfig {
 }
 
 /// One database engine instance (an "AsterixDB cluster controller" or a
-/// "postgres server", depending on its config).
-///
-/// Writes mutate the master [`Database`] under `db`'s write lock and then
-/// publish an immutable copy-on-write snapshot through `published`; reads
-/// pin the current snapshot and never hold `db` across execution, so
-/// queries proceed concurrently with loads and DDL.
+/// "postgres server", depending on its config): a [`DurableStore`] over
+/// the [`Database`] catalog plus the SQL/SQL++ query front-end.
+/// Dereferences to the shell for durability, recovery, fault injection
+/// and snapshot introspection; reads pin the shell's committed snapshot
+/// and never hold a lock across execution, so queries proceed
+/// concurrently with loads and DDL.
 pub struct Engine {
     config: EngineConfig,
-    db: RwLock<Database>,
-    /// The committed-state snapshot readers run against (see
-    /// [`SnapshotCell`]); republished after every master mutation.
-    published: SnapshotCell<Database>,
+    shell: DurableStore<Database>,
     plan_cache: PlanCache,
     /// Adaptive kernel-promotion state: per-shape execution counts and
     /// promoted kernel plans, shared by every session (and every morsel
     /// worker) of this engine. Catalog-versioned like the plan cache.
     kernels: KernelCache,
-    faults: Mutex<Option<Arc<FaultPlan>>>,
-    wal: Mutex<Option<Arc<Wal>>>,
+}
+
+impl std::ops::Deref for Engine {
+    type Target = DurableStore<Database>;
+    fn deref(&self) -> &DurableStore<Database> {
+        &self.shell
+    }
 }
 
 /// A compiled query: the shared cache entry, whether it came from the
@@ -129,276 +127,18 @@ struct Compiled {
 impl Engine {
     /// Create an empty engine.
     pub fn new(config: EngineConfig) -> Engine {
+        let state = Database::with_null_policy(config.personality.secondary_null_policy());
         Engine {
+            shell: DurableStore::new(format!("sqlengine/{:?}", config.dialect), state),
             config,
-            db: RwLock::new(Database::new()),
-            published: SnapshotCell::new(Database::new()),
             plan_cache: PlanCache::new(),
             kernels: KernelCache::new(),
-            faults: Mutex::new(None),
-            wal: Mutex::new(None),
         }
-    }
-
-    /// Pin the current committed snapshot for a read. Cheap (one `Arc`
-    /// clone); the pinned state cannot change under the reader.
-    fn pinned(&self) -> Arc<Database> {
-        self.published.load()
-    }
-
-    /// Publish a fresh snapshot of the master state. Callers hold the
-    /// master write lock, so the clone is consistent, and call this only
-    /// after the mutation (or its recovery) committed — a torn state is
-    /// never published.
-    fn publish_locked(&self, db: &Database) {
-        self.published.publish(db.clone());
-    }
-
-    /// Epoch of the most recent snapshot publication (0 = construction).
-    pub fn snapshot_epoch(&self) -> u64 {
-        self.published.epoch()
-    }
-
-    /// Detect a master lock poisoned by a panic mid-write (the torn-state
-    /// hazard: an op committed to the WAL but absent from memory) and
-    /// rebuild through the recovery path before serving anything. Every
-    /// public entry point calls this first.
-    fn heal_poisoned(&self) -> Result<()> {
-        if !self.db.poisoned() {
-            return Ok(());
-        }
-        let mut db = self.db.write();
-        if !self.db.poisoned() {
-            return Ok(()); // another session healed while we waited
-        }
-        let wal = self.wal().ok_or_else(|| EngineError::Corruption {
-            message: "store state torn by a panic mid-apply and no log is attached to rebuild from"
-                .to_string(),
-        })?;
-        self.recover_locked(&mut db, &wal)?;
-        self.db.clear_poison();
-        self.publish_locked(&db);
-        Ok(())
-    }
-
-    /// Install (or clear) a fault-injection plan consulted at every
-    /// query entry point and at the WAL's durability sites. Cluster
-    /// shard execution is exempt — the cluster layer injects at its own
-    /// shard boundary instead.
-    pub fn set_fault_plan(&self, plan: Option<Arc<FaultPlan>>) {
-        *self.faults.lock() = plan.clone();
-        if let Some(wal) = self.wal() {
-            wal.set_faults(plan);
-        }
-    }
-
-    /// The currently installed fault plan, if any.
-    pub fn fault_plan(&self) -> Option<Arc<FaultPlan>> {
-        self.faults.lock().clone()
-    }
-
-    /// Consult the fault plan before running a query.
-    fn check_faults(&self) -> Result<()> {
-        let plan = self.faults.lock().clone();
-        if let Some(plan) = plan {
-            let site = self.site();
-            match plan.next_fault(&site) {
-                None => {}
-                Some(FaultKind::Error) => {
-                    return Err(EngineError::transient(format!("injected fault at {site}")))
-                }
-                Some(FaultKind::Latency(d)) => std::thread::sleep(d),
-                Some(FaultKind::Hang(d)) => {
-                    std::thread::sleep(d);
-                    return Err(EngineError::transient(format!("injected hang at {site}")));
-                }
-                Some(FaultKind::Crash) | Some(FaultKind::TornWrite(_)) => {
-                    return Err(self.simulate_query_crash(&site));
-                }
-                Some(FaultKind::Panic) => panic!("injected panic at {site}"),
-            }
-        }
-        Ok(())
-    }
-
-    /// A crash fault at a *query* (read-only) site: no committed state
-    /// is at risk, but the process restart wipes memory. With durability
-    /// enabled we model the restart faithfully — recover from the log —
-    /// so the caller's retry lands on the rebuilt store; without it the
-    /// crash degrades to a plain transient fault.
-    fn simulate_query_crash(&self, site: &str) -> EngineError {
-        if let Some(wal) = self.wal() {
-            let mut db = self.db.write();
-            if let Err(e) = self.recover_locked(&mut db, &wal) {
-                return e;
-            }
-            self.publish_locked(&db);
-        }
-        EngineError::transient(format!("process crashed at {site}; store recovered"))
     }
 
     /// This engine's configuration.
     pub fn config(&self) -> &EngineConfig {
         &self.config
-    }
-
-    /// This engine's fault/WAL site name.
-    fn site(&self) -> String {
-        format!("sqlengine/{:?}", self.config.dialect)
-    }
-
-    fn wal(&self) -> Option<Arc<Wal>> {
-        self.wal.lock().clone()
-    }
-
-    /// Attach a write-ahead log on `media` and recover whatever state it
-    /// holds (a fresh media recovers to an empty engine; a media carried
-    /// over from a "previous process" rebuilds its exact committed
-    /// state). From here on every DDL, load, and index build is logged
-    /// before it is applied, and checkpoints follow `policy`.
-    pub fn enable_durability(
-        &self,
-        media: Arc<LogMedia>,
-        policy: CheckpointPolicy,
-    ) -> Result<RecoveryReport> {
-        let wal = Arc::new(Wal::new(media, self.site(), policy));
-        wal.set_faults(self.faults.lock().clone());
-        let mut db = self.db.write();
-        let report = self.recover_locked(&mut db, &wal)?;
-        *self.wal.lock() = Some(wal);
-        // Recovery rebuilt a consistent state, healing any torn write a
-        // prior panic left behind.
-        self.db.clear_poison();
-        self.publish_locked(&db);
-        Ok(report)
-    }
-
-    /// Whether a WAL is attached.
-    pub fn durability_enabled(&self) -> bool {
-        self.wal.lock().is_some()
-    }
-
-    /// WAL activity counters, when durability is enabled.
-    pub fn wal_stats(&self) -> Option<WalStats> {
-        self.wal().map(|w| w.stats())
-    }
-
-    /// Wipe in-memory state and rebuild it from the attached log, as a
-    /// restarted process would. Errors when durability is not enabled.
-    pub fn recover(&self) -> Result<RecoveryReport> {
-        let wal = self
-            .wal()
-            .ok_or_else(|| EngineError::exec("durability is not enabled"))?;
-        let mut db = self.db.write();
-        let report = self.recover_locked(&mut db, &wal)?;
-        self.db.clear_poison();
-        self.publish_locked(&db);
-        Ok(report)
-    }
-
-    /// Replace `db` with the state recovered from `wal`'s media, keeping
-    /// the catalog version strictly past its pre-crash value so plans
-    /// cached before the crash can never be served again.
-    fn recover_locked(&self, db: &mut Database, wal: &Wal) -> Result<RecoveryReport> {
-        let pre_crash_version = db.version();
-        let (ops, report) = wal.recover().map_err(wal_err)?;
-        let mut fresh = Database::new();
-        for op in ops {
-            apply_op(&mut fresh, op, &self.config.personality)?;
-        }
-        fresh.advance_version_past(pre_crash_version);
-        *db = fresh;
-        Ok(report)
-    }
-
-    /// Log `op` (when durability is on), apply it, and checkpoint when
-    /// due. An injected crash at any WAL site wipes the store, recovers
-    /// it from the log, and surfaces as a transient error — the store
-    /// the caller retries against is the rebuilt one.
-    fn durable_apply(&self, db: &mut Database, op: DurableOp) -> Result<()> {
-        if let Some(wal) = self.wal() {
-            if let Err(e) = wal.append(&op) {
-                return Err(self.crash_recover(db, &wal, e));
-            }
-        }
-        self.apply_panic_point();
-        apply_op(db, op, &self.config.personality)?;
-        if let Some(wal) = self.wal() {
-            if wal.checkpoint_due() {
-                let ops = snapshot_ops(db);
-                if let Err(e) = wal.checkpoint(&ops) {
-                    return Err(self.crash_recover(db, &wal, e));
-                }
-                // Checkpoint = the maintenance point: replace the
-                // incrementally sketched statistics with exact ones
-                // rebuilt from the heaps.
-                db.rebuild_stats();
-            }
-        }
-        Ok(())
-    }
-
-    /// The injected-panic point between the WAL append (the commit
-    /// point) and the in-memory apply. A [`FaultPlan::panic_at`] target
-    /// at `<site>/apply` dies here while the master write lock is held:
-    /// the op is committed to the log but absent from memory, and the
-    /// lock is poisoned — exactly the torn state [`Engine::heal_poisoned`]
-    /// must repair. Gated on an armed target so plans that never aim
-    /// here draw nothing at this site.
-    fn apply_panic_point(&self) {
-        let plan = self.faults.lock().clone();
-        if let Some(plan) = plan {
-            let site = format!("{}/apply", self.site());
-            if plan.has_target_at(&site) && plan.next_fault(&site) == Some(FaultKind::Panic) {
-                panic!("injected panic at {site}");
-            }
-        }
-    }
-
-    /// Handle a WAL failure under the store's write lock: crashes
-    /// recover in place, corruption is surfaced as fatal.
-    fn crash_recover(&self, db: &mut Database, wal: &Wal, err: WalError) -> EngineError {
-        match err {
-            WalError::Crashed { site } => match self.recover_locked(db, wal) {
-                Ok(_) => EngineError::transient(format!(
-                    "process crashed at {site}; store recovered from log"
-                )),
-                Err(e) => e,
-            },
-            WalError::Corruption(m) => EngineError::Corruption { message: m },
-        }
-    }
-
-    /// The compacted op list that rebuilds this engine's current state
-    /// from empty — what a checkpoint writes. Exposed so tests can
-    /// assert two stores are byte-identical (equal op encodings imply
-    /// equal heaps, in order, and equal index definitions).
-    pub fn durable_snapshot(&self) -> Vec<DurableOp> {
-        // Read the published snapshot: always a committed state, even
-        // while a write is mid-flight or the master is being healed.
-        snapshot_ops(&self.pinned())
-    }
-
-    /// The attached WAL, when durability is enabled. The replication
-    /// layer installs its shipping observer and reads the committed
-    /// tail through this handle.
-    pub fn wal_handle(&self) -> Option<Arc<Wal>> {
-        self.wal()
-    }
-
-    /// Atomically pin the current committed state and its log position:
-    /// the compacted op list plus the LSN the next append will receive.
-    /// Taking the master read lock excludes writers, so the ops and the
-    /// pin always agree — the shard-split path seeds a new store from
-    /// the ops and replays exactly the frames at or past the pin.
-    /// Errors when durability is not enabled.
-    pub fn pinned_ops(&self) -> Result<(Vec<DurableOp>, u64)> {
-        let wal = self
-            .wal()
-            .ok_or_else(|| EngineError::exec("durability is not enabled"))?;
-        self.heal_poisoned()?;
-        let db = self.db.read();
-        Ok((snapshot_ops(&db), wal.next_lsn()))
     }
 
     /// Create a dataset.
@@ -408,20 +148,11 @@ impl Engine {
         dataset: &str,
         primary_key: Option<&str>,
     ) -> Result<()> {
-        self.heal_poisoned()?;
-        let mut db = self.db.write();
-        let result = self.durable_apply(
-            &mut db,
-            DurableOp::Create {
-                namespace: namespace.to_string(),
-                name: dataset.to_string(),
-                key: primary_key.map(str::to_string),
-            },
-        );
-        // Publish success *and* failure outcomes: a crash-recovery error
-        // path rebuilt the master, which readers must also see.
-        self.publish_locked(&db);
-        result
+        self.commit(DurableOp::Create {
+            namespace: namespace.to_string(),
+            name: dataset.to_string(),
+            key: primary_key.map(str::to_string),
+        })
     }
 
     /// Bulk-load records into a dataset.
@@ -431,59 +162,37 @@ impl Engine {
         dataset: &str,
         records: impl IntoIterator<Item = Record>,
     ) -> Result<()> {
-        self.heal_poisoned()?;
-        let mut db = self.db.write();
-        // Validate before logging so the op can never fail post-append.
-        let result = db.dataset(namespace, dataset).map(|_| ()).and_then(|()| {
-            let records: Vec<Record> = records.into_iter().collect();
-            self.durable_apply(
-                &mut db,
-                DurableOp::Ingest {
-                    namespace: namespace.to_string(),
-                    name: dataset.to_string(),
-                    records,
-                },
-            )
-        });
-        self.publish_locked(&db);
-        result
+        self.commit(DurableOp::Ingest {
+            namespace: namespace.to_string(),
+            name: dataset.to_string(),
+            records: records.into_iter().collect(),
+        })
     }
 
     /// Create a secondary index.
     pub fn create_index(&self, namespace: &str, dataset: &str, attribute: &str) -> Result<String> {
-        self.heal_poisoned()?;
-        let mut db = self.db.write();
-        let result = db.dataset(namespace, dataset).map(|_| ()).and_then(|()| {
-            self.durable_apply(
-                &mut db,
-                DurableOp::Index {
-                    namespace: namespace.to_string(),
-                    name: dataset.to_string(),
-                    attribute: attribute.to_string(),
-                },
-            )
-        });
-        let result = result.and_then(|()| {
-            Ok(db
-                .dataset(namespace, dataset)?
-                .index_on(attribute)
-                .map(|ix| ix.name().to_string())
-                .unwrap_or_default())
-        });
-        self.publish_locked(&db);
-        result
+        self.commit(DurableOp::Index {
+            namespace: namespace.to_string(),
+            name: dataset.to_string(),
+            attribute: attribute.to_string(),
+        })?;
+        Ok(self
+            .pin()?
+            .dataset(namespace, dataset)?
+            .index_on(attribute)
+            .map(|ix| ix.name().to_string())
+            .unwrap_or_default())
     }
 
     /// Number of records in a dataset.
     pub fn dataset_len(&self, namespace: &str, dataset: &str) -> Result<usize> {
-        self.heal_poisoned()?;
-        Ok(self.pinned().dataset(namespace, dataset)?.len())
+        Ok(self.pin()?.dataset(namespace, dataset)?.len())
     }
 
     /// Planner options against `db`: when cost-based planning is on,
-    /// capture a statistics snapshot at `db`'s catalog version. The plan
-    /// cache keys on the same version, so a cached stats-informed plan
-    /// can never outlive the statistics that justified it.
+    /// capture a statistics snapshot of it. The plan cache keys on the
+    /// version `db` was published at, so a cached stats-informed plan can
+    /// never outlive the statistics that justified it.
     fn planner_options(&self, db: &Database) -> PlannerOptions {
         PlannerOptions {
             personality: self.config.personality.clone(),
@@ -495,13 +204,14 @@ impl Engine {
         }
     }
 
-    /// The one compile path: probe the plan cache at the current catalog
-    /// version; on a miss, parse + optimize + plan and insert. Every
-    /// query-text entry point (`query`, `query_traced`, `explain`,
-    /// `compile_to_logical`, `compile_to_physical`) routes through here so
-    /// they can never drift apart. `db` is the caller's read guard — the
-    /// version probe and the physical planning see one catalog snapshot.
-    fn compiled(&self, sql: &str, db: &Database) -> Result<Compiled> {
+    /// The one compile path: probe the plan cache at the pinned
+    /// snapshot's catalog version; on a miss, parse + optimize + plan and
+    /// insert. Every query-text entry point (`query`, `query_traced`,
+    /// `explain`, `compile_to_logical`, `compile_to_physical`) routes
+    /// through here so they can never drift apart. `db` is the caller's
+    /// pin — the version probe and the physical planning see one catalog
+    /// snapshot.
+    fn compiled(&self, sql: &str, db: &Snapshot<Database>) -> Result<Compiled> {
         let version = db.version();
         let probe_started = Instant::now();
         if let Some(plan) = self.plan_cache.get(self.config.dialect, sql, version) {
@@ -555,14 +265,12 @@ impl Engine {
     /// Runs against the pinned committed snapshot — the master lock is
     /// never held across execution, so loads/DDL proceed concurrently.
     pub fn query(&self, sql: &str) -> Result<Vec<Value>> {
-        self.heal_poisoned()?;
-        self.check_faults()?;
-        let db = self.pinned();
+        let db = self.pin_query()?;
         let compiled = self.compiled(sql, &db)?;
         let (rows, _) = Executor::new(&db).run_with_kernels(
             &compiled.plan.physical,
             &self.config.exec,
-            Some(&self.kernels),
+            Some((&self.kernels, db.version())),
         )?;
         Ok(rows)
     }
@@ -573,10 +281,8 @@ impl Engine {
     /// whether the plan came from the cache; the `exec` child carries the
     /// worker parallelism and one `morsel[i]` child per morsel.
     pub fn query_traced(&self, sql: &str) -> Result<(Vec<Value>, Span)> {
-        self.heal_poisoned()?;
-        self.check_faults()?;
+        let db = self.pin_query()?;
         let started = Instant::now();
-        let db = self.pinned();
         let Compiled {
             plan,
             outcome,
@@ -603,7 +309,7 @@ impl Engine {
         let (rows, report) = Executor::new(&db).run_with_kernels(
             &plan.physical,
             &self.config.exec,
-            Some(&self.kernels),
+            Some((&self.kernels, db.version())),
         )?;
         exec_t.span_mut().set_metric("rows_out", rows.len() as i64);
         exec_t
@@ -685,28 +391,25 @@ impl Engine {
     /// query-preparation overhead lives here — unless the plan cache
     /// already holds the compiled query).
     pub fn compile_to_logical(&self, sql: &str) -> Result<LogicalPlan> {
-        self.heal_poisoned()?;
-        let db = self.pinned();
+        let db = self.pin()?;
         Ok(self.compiled(sql, &db)?.plan.logical.clone())
     }
 
     /// Plan and execute a pre-built logical plan (used by the cluster layer).
     pub fn execute_logical(&self, logical: &LogicalPlan) -> Result<Vec<Value>> {
-        self.heal_poisoned()?;
-        let db = self.pinned();
+        let db = self.pin()?;
         let physical = plan_physical(logical, &db, &self.planner_options(&db))?;
         let (rows, _) = Executor::new(&db).run_with_kernels(
             &physical,
             &self.config.exec,
-            Some(&self.kernels),
+            Some((&self.kernels, db.version())),
         )?;
         Ok(rows)
     }
 
     /// Return the physical plan chosen for `sql`, as an EXPLAIN-style tree.
     pub fn explain(&self, sql: &str) -> Result<String> {
-        self.heal_poisoned()?;
-        let db = self.pinned();
+        let db = self.pin()?;
         Ok(self.compiled(sql, &db)?.plan.physical.display())
     }
 
@@ -715,8 +418,7 @@ impl Engine {
     /// and the alternatives weighed (and rejected) at each planner
     /// decision point.
     pub fn explain_report(&self, sql: &str) -> Result<ExplainReport> {
-        self.heal_poisoned()?;
-        let db = self.pinned();
+        let db = self.pin()?;
         let compiled = self.compiled(sql, &db)?;
         let mut report = ExplainReport::for_plan(self.config.personality.name, sql);
         report.root = Some(compiled.plan.explain.clone());
@@ -725,8 +427,7 @@ impl Engine {
 
     /// Compile to a physical plan without executing (exposed for tests).
     pub fn compile_to_physical(&self, sql: &str) -> Result<PhysicalPlan> {
-        self.heal_poisoned()?;
-        let db = self.pinned();
+        let db = self.pin()?;
         Ok(self.compiled(sql, &db)?.plan.physical.clone())
     }
 
@@ -749,8 +450,7 @@ impl Engine {
         attribute: &str,
         key: &Value,
     ) -> Result<Vec<Record>> {
-        self.heal_poisoned()?;
-        let db = self.pinned();
+        let db = self.pin()?;
         let table = db.dataset(namespace, dataset)?;
         match table.index_on(attribute) {
             Some(ix) => Ok(ix
@@ -777,8 +477,7 @@ impl Engine {
         dataset: &str,
         attribute: &str,
     ) -> Result<Vec<Value>> {
-        self.heal_poisoned()?;
-        let db = self.pinned();
+        let db = self.pin()?;
         let table = db.dataset(namespace, dataset)?;
         match table.index_on(attribute) {
             Some(ix) => Ok(ix
@@ -810,8 +509,7 @@ impl Engine {
         attribute: &str,
         key: &Value,
     ) -> Result<usize> {
-        self.heal_poisoned()?;
-        let db = self.pinned();
+        let db = self.pin()?;
         let table = db.dataset(namespace, dataset)?;
         match table.index_on(attribute) {
             Some(ix) => Ok(ix.lookup(key).len()),
@@ -826,100 +524,109 @@ impl Engine {
     }
 }
 
-/// Map a WAL failure outside any crash-recovery context (i.e. during
-/// recovery itself, where no fault sites are drawn).
-fn wal_err(e: WalError) -> EngineError {
-    match e {
-        WalError::Crashed { site } => EngineError::transient(format!("process crashed at {site}")),
-        WalError::Corruption(m) => EngineError::Corruption { message: m },
-    }
-}
+impl StateMachine for Database {
+    type Error = EngineError;
 
-/// Apply one logged op to the catalog. Infallible for ops that went
-/// through the validated durable path; a failure here means the log
-/// references state it never created — corruption, not a user error.
-fn apply_op(db: &mut Database, op: DurableOp, personality: &Personality) -> Result<()> {
-    match op {
-        DurableOp::Create {
-            namespace,
-            name,
-            key,
-        } => {
-            let options = TableOptions {
-                primary_key: key,
-                secondary_null_policy: personality.secondary_null_policy(),
-            };
-            db.create_dataset(&namespace, &name, options);
+    fn prepare(&self, op: DurableOp) -> Result<DurableOp> {
+        if let DurableOp::Ingest {
+            namespace, name, ..
         }
-        DurableOp::Ingest {
-            namespace,
-            name,
-            records,
-        } => {
-            db.dataset_mut(&namespace, &name)
-                .map_err(|_| EngineError::Corruption {
-                    message: format!("log ingests into unknown dataset {namespace}.{name}"),
-                })?
-                .insert_all(records);
-            // Loads can flip `Index::is_complete`, which changes which
-            // physical plan is *correct* — invalidate cached plans.
-            db.bump_version();
-        }
-        DurableOp::Index {
-            namespace,
-            name,
-            attribute,
-        } => {
-            db.dataset_mut(&namespace, &name)
-                .map_err(|_| EngineError::Corruption {
-                    message: format!("log indexes unknown dataset {namespace}.{name}"),
-                })?
-                .create_index(&attribute);
-            db.bump_version();
-        }
-    }
-    Ok(())
-}
-
-/// Compact the catalog into an op list that replays to identical state:
-/// per dataset (sorted for determinism) a `Create`, the secondary-index
-/// DDL, then one `Ingest` of the heap in scan order. Creating indexes
-/// before the ingest feeds the B+trees the same key sequence as the
-/// original history did (heap order), so the rebuilt trees match.
-fn snapshot_ops(db: &Database) -> Vec<DurableOp> {
-    let mut names: Vec<(String, String)> = db
-        .dataset_names()
-        .map(|(ns, ds)| (ns.to_string(), ds.to_string()))
-        .collect();
-    names.sort();
-    let mut ops = Vec::new();
-    for (namespace, name) in names {
-        let Ok(table) = db.dataset(&namespace, &name) else {
-            continue;
-        };
-        ops.push(DurableOp::Create {
-            namespace: namespace.clone(),
-            name: name.clone(),
-            key: table.primary_key().map(str::to_string),
-        });
-        for ix in table
-            .indexes()
-            .iter()
-            .filter(|ix| ix.kind() == IndexKind::Secondary)
+        | DurableOp::Index {
+            namespace, name, ..
+        } = &op
         {
-            ops.push(DurableOp::Index {
+            self.dataset(namespace, name)?;
+        }
+        Ok(op)
+    }
+
+    fn apply(&mut self, op: DurableOp) -> std::result::Result<(), DurableError> {
+        let unknown = |what: &str, namespace: &str, name: &str| {
+            DurableError::Corruption(format!("log {what} unknown dataset {namespace}.{name}"))
+        };
+        match op {
+            DurableOp::Create {
+                namespace,
+                name,
+                key,
+            } => {
+                let options = TableOptions {
+                    primary_key: key,
+                    secondary_null_policy: self.null_policy,
+                };
+                self.create_dataset(&namespace, &name, options);
+            }
+            DurableOp::Ingest {
+                namespace,
+                name,
+                records,
+            } => self
+                .dataset_mut(&namespace, &name)
+                .map_err(|_| unknown("ingests into", &namespace, &name))?
+                .insert_all(records),
+            DurableOp::Index {
+                namespace,
+                name,
+                attribute,
+            } => {
+                self.dataset_mut(&namespace, &name)
+                    .map_err(|_| unknown("indexes", &namespace, &name))?
+                    .create_index(&attribute);
+            }
+        }
+        Ok(())
+    }
+
+    /// Per dataset (sorted for determinism) a `Create`, the
+    /// secondary-index DDL, then one `Ingest` of the heap in scan order.
+    /// Creating indexes before the ingest feeds the B+trees the same key
+    /// sequence as the original history did (heap order), so the rebuilt
+    /// trees match.
+    fn snapshot_ops(&self) -> Vec<DurableOp> {
+        let mut names: Vec<(String, String)> = self
+            .dataset_names()
+            .map(|(ns, ds)| (ns.to_string(), ds.to_string()))
+            .collect();
+        names.sort();
+        let mut ops = Vec::new();
+        for (namespace, name) in names {
+            let Ok(table) = self.dataset(&namespace, &name) else {
+                continue;
+            };
+            ops.push(DurableOp::Create {
                 namespace: namespace.clone(),
                 name: name.clone(),
-                attribute: ix.attribute().to_string(),
+                key: table.primary_key().map(str::to_string),
+            });
+            for ix in table
+                .indexes()
+                .iter()
+                .filter(|ix| ix.kind() == IndexKind::Secondary)
+            {
+                ops.push(DurableOp::Index {
+                    namespace: namespace.clone(),
+                    name: name.clone(),
+                    attribute: ix.attribute().to_string(),
+                });
+            }
+            ops.push(DurableOp::Ingest {
+                namespace,
+                name,
+                records: table.heap().scan().map(|(_, r)| r.clone()).collect(),
             });
         }
-        ops.push(DurableOp::Ingest {
-            namespace,
-            name,
-            records: table.heap().scan().map(|(_, r)| r.clone()).collect(),
-        });
+        ops
     }
-    ops
+
+    fn empty(&self) -> Database {
+        Database::with_null_policy(self.null_policy)
+    }
+
+    /// Checkpoint = the maintenance point: replace the incrementally
+    /// sketched statistics with exact ones rebuilt from the heaps.
+    fn after_checkpoint(&mut self) {
+        self.rebuild_stats();
+    }
 }
 
 #[cfg(test)]

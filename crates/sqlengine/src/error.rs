@@ -1,5 +1,6 @@
 //! Engine error type.
 
+use polyframe_storage::{DurableError, StoreError};
 use std::fmt;
 
 /// Errors surfaced by the SQL/SQL++ engine.
@@ -35,18 +36,10 @@ pub enum EngineError {
         /// The missing dataset's name.
         dataset: String,
     },
-    /// A transient (retryable) backend condition: a dropped connection,
-    /// a shard timeout, or an injected fault. Retrying may succeed.
-    Transient {
-        /// Human-readable description.
-        message: String,
-    },
-    /// The engine's write-ahead log or snapshot failed its integrity
-    /// check. Non-retryable: the durable state itself is damaged.
-    Corruption {
-        /// Human-readable description.
-        message: String,
-    },
+    /// A failure of the durable-store shell: a transient (retryable)
+    /// condition — a dropped connection, a shard timeout, an injected
+    /// fault — or non-retryable corruption of the log or snapshot.
+    Durable(DurableError),
 }
 
 impl fmt::Display for EngineError {
@@ -61,13 +54,27 @@ impl fmt::Display for EngineError {
             EngineError::UnknownDataset { namespace, dataset } => {
                 write!(f, "unknown dataset: {namespace}.{dataset}")
             }
-            EngineError::Transient { message } => write!(f, "{message}"),
-            EngineError::Corruption { message } => write!(f, "log corruption: {message}"),
+            EngineError::Durable(e) => write!(f, "{e}"),
         }
     }
 }
 
 impl std::error::Error for EngineError {}
+
+impl From<DurableError> for EngineError {
+    fn from(e: DurableError) -> EngineError {
+        EngineError::Durable(e)
+    }
+}
+
+impl StoreError for EngineError {
+    fn durable(&self) -> Option<&DurableError> {
+        match self {
+            EngineError::Durable(e) => Some(e),
+            _ => None,
+        }
+    }
+}
 
 impl EngineError {
     /// Shorthand constructor for planning errors.
@@ -93,19 +100,17 @@ impl EngineError {
 
     /// Shorthand constructor for transient (retryable) errors.
     pub fn transient(message: impl Into<String>) -> EngineError {
-        EngineError::Transient {
-            message: message.into(),
-        }
+        EngineError::Durable(DurableError::Transient(message.into()))
     }
 
     /// Whether retrying the failed operation may succeed.
     pub fn is_transient(&self) -> bool {
-        matches!(self, EngineError::Transient { .. })
+        matches!(self, EngineError::Durable(DurableError::Transient(_)))
     }
 
     /// Whether this error reports damaged durable state.
     pub fn is_corruption(&self) -> bool {
-        matches!(self, EngineError::Corruption { .. })
+        matches!(self, EngineError::Durable(DurableError::Corruption(_)))
     }
 }
 

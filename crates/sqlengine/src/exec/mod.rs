@@ -66,13 +66,14 @@ impl<'a> Executor<'a> {
     }
 
     /// [`Executor::run_with`] with an optional [`KernelCache`] carrying
-    /// adaptive kernel promotion state across queries. Without a cache,
+    /// adaptive kernel promotion state across queries, paired with the
+    /// catalog version of the snapshot being executed. Without a cache,
     /// the vectorized path specializes eagerly (no warm-up counting).
     pub fn run_with_kernels(
         &self,
         plan: &'a PhysicalPlan,
         opts: &ExecOptions,
-        kernels: Option<&KernelCache>,
+        kernels: Option<(&KernelCache, u64)>,
     ) -> Result<(Vec<Value>, ExecReport)> {
         let mut fallback = None;
         if opts.workers > 1 || opts.vectorized {

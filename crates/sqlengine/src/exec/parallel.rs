@@ -694,13 +694,14 @@ impl LimitGate {
 }
 
 /// Try to run `plan` with morsel parallelism and/or vectorized batches.
-/// `kernels` carries cross-query promotion state: with a cache, programs
-/// specialize only once hot; without one, eagerly.
+/// `kernels` carries cross-query promotion state and `db`'s catalog
+/// version: with a cache, programs specialize only once hot; without one,
+/// eagerly.
 pub(super) fn try_run(
     db: &Database,
     plan: &PhysicalPlan,
     opts: &ExecOptions,
-    kernels: Option<&KernelCache>,
+    kernels: Option<(&KernelCache, u64)>,
 ) -> TryRunOutcome {
     use TryRunOutcome::{Fallback, Ran};
     let pp = match analyze(plan) {
@@ -758,8 +759,8 @@ pub(super) fn try_run(
     // specialize eagerly. Either way `None` simply means generic kernels.
     let spec: Option<std::sync::Arc<vector::KernelPlan>> = match &vp {
         Some(vp) if opts.specialize => match kernels {
-            Some(cache) => {
-                cache.resolve(vector::fingerprint(&dataset.dataset, vp), db.version(), vp)
+            Some((cache, version)) => {
+                cache.resolve(vector::fingerprint(&dataset.dataset, vp), version, vp)
             }
             None => vector::specialize(vp).map(std::sync::Arc::new),
         },

@@ -1,14 +1,14 @@
 //! Planner-facing statistics: an immutable snapshot of the catalog's
-//! per-table/per-column statistics, captured at a catalog version.
+//! per-table/per-column statistics, captured from one pinned snapshot.
 //!
 //! The storage layer maintains [`polyframe_storage::TableStats`]
 //! incrementally on every insert (the load/WAL-apply path) and rebuilds
 //! them exactly at checkpoints. This module snapshots those statistics at
-//! plan-compile time: the snapshot is tagged with the
-//! [`Database::version`] it was captured at, and since every load/DDL
-//! bumps that version, any plan compiled against a stale snapshot falls
-//! out of the plan cache on its own — stats-informed plans can never
-//! outlive the statistics that justified them.
+//! plan-compile time from the pinned catalog snapshot the plan is cached
+//! under, and since every load/DDL publishes a snapshot at a new
+//! version, any plan compiled against stale statistics falls out of the
+//! plan cache on its own — stats-informed plans can never outlive the
+//! statistics that justified them.
 //!
 //! Selectivity math lives here; cost formulas live in
 //! [`crate::plan::cost`].
@@ -106,17 +106,14 @@ impl TableStatsView {
     }
 }
 
-/// An immutable snapshot of every table's statistics, captured from the
-/// catalog at one version.
+/// An immutable snapshot of every table's statistics.
 #[derive(Debug, Clone, Default)]
 pub struct StatsCatalog {
-    version: u64,
     tables: HashMap<(String, String), TableStatsView>,
 }
 
 impl StatsCatalog {
-    /// Capture the statistics of every table in `db`, tagged with the
-    /// current catalog version.
+    /// Capture the statistics of every table in `db`.
     pub fn capture(db: &Database) -> StatsCatalog {
         let mut tables = HashMap::new();
         let names: Vec<(String, String)> = db
@@ -146,15 +143,7 @@ impl StatsCatalog {
             }
             tables.insert((ns, ds), view);
         }
-        StatsCatalog {
-            version: db.version(),
-            tables,
-        }
-    }
-
-    /// The catalog version this snapshot was captured at.
-    pub fn version(&self) -> u64 {
-        self.version
+        StatsCatalog { tables }
     }
 
     /// Statistics for one table, when it exists and holds data.
@@ -188,10 +177,9 @@ mod tests {
     }
 
     #[test]
-    fn capture_tags_version_and_sees_tables() {
+    fn capture_sees_tables() {
         let db = db_with_data();
         let stats = StatsCatalog::capture(&db);
-        assert_eq!(stats.version(), db.version());
         let view = stats.table("Test", "data").unwrap();
         assert_eq!(view.row_count, 100.0);
         assert!(stats.table("Test", "nope").is_none());

@@ -10,11 +10,12 @@ use polyframe_datamodel::{Record, Value};
 /// PostgreSQL B-trees index `NULL`s (so `IS NULL` counts are index-only),
 /// while AsterixDB, MongoDB and Neo4j secondary indexes skip unknown keys
 /// entirely, forcing a data scan for missing-value predicates.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum NullPolicy {
     /// Store `Null`/`Missing` keys in the index (PostgreSQL behaviour).
     IndexNulls,
     /// Skip unknown keys (AsterixDB / MongoDB / Neo4j behaviour).
+    #[default]
     SkipNulls,
 }
 

@@ -24,11 +24,17 @@
 //! * [`wal`] — the durability layer: an append-only, CRC-checksummed,
 //!   length-prefixed write-ahead log with snapshot checkpoints, torn-tail
 //!   truncation, and deterministic crash/torn-write fault injection.
+//! * [`durable`] — the durable-store shell: master state, published
+//!   snapshot, catalog version, fault plan and WAL behind one
+//!   heal → validate → append → apply → publish protocol that every
+//!   store instantiates with its own [`durable::StateMachine`].
 
 pub mod batch;
 pub mod btree;
 #[deny(clippy::unwrap_used)]
 pub mod codec;
+#[deny(clippy::unwrap_used)]
+pub mod durable;
 pub mod heap;
 pub mod index;
 pub mod stats;
@@ -40,6 +46,7 @@ pub use batch::{
     Column, ColumnBatch, ColumnSummary, Presence, DEFAULT_BATCH_ROWS, DICT_CAP, MAX_BATCH_ROWS,
 };
 pub use btree::{BPlusTree, Direction, KeyBound, ScanRange};
+pub use durable::{DurableError, DurableStore, Snapshot, StateMachine, StoreError};
 pub use heap::{RecordId, TableHeap};
 pub use index::{Index, IndexKind, NullPolicy};
 pub use stats::{AttributeStats, Histogram, NdvSketch, TableStats};

@@ -146,12 +146,18 @@ fn sqlpp_sessions_read_committed_snapshots_under_writes() {
         .load("Test", "users", batch_rows(0))
         .expect("seed rows");
     let misses_before = engine.plan_cache_stats().misses;
+    // One read on each side of the stress pins the recompile check to the
+    // catalog versions themselves rather than to how the scheduler
+    // happened to interleave readers and writer: this one compiles the
+    // query at the seed version (the first miss)...
+    const COUNT_USERS: &str = "SELECT VALUE COUNT(*) FROM Test.users";
+    engine.query(COUNT_USERS).expect("pre-stress read");
 
     let writer_engine = Arc::clone(&engine);
     let epoch_engine = Arc::clone(&engine);
     stress(
         Arc::new(AsterixConnector::new(Arc::clone(&engine))),
-        "SELECT VALUE COUNT(*) FROM Test.users",
+        COUNT_USERS,
         "Test",
         "users",
         move || epoch_engine.snapshot_epoch(),
@@ -172,7 +178,10 @@ fn sqlpp_sessions_read_committed_snapshots_under_writes() {
     );
 
     // Every load/DDL bumped the catalog version, so the repeated read
-    // query could not be answered from a stale cached plan.
+    // query could not be answered from a stale cached plan: ...and
+    // whichever read ran first at the writer's final version — a stress
+    // read or this one — had to miss again.
+    engine.query(COUNT_USERS).expect("post-stress read");
     assert!(
         engine.plan_cache_stats().misses > misses_before + 1,
         "catalog bumps never forced a plan recompile"

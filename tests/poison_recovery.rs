@@ -265,3 +265,116 @@ fn concurrent_sessions_agree_after_healing() {
         assert_eq!(r.join().expect("reader"), 6);
     }
 }
+
+// --- One shell, one behaviour --------------------------------------------
+
+/// Each store torn by an injected `<site>/apply` panic (the second batch
+/// is on the log but not in memory), paired with the encoded state a
+/// fresh store replays from the same media.
+fn torn_engine() -> (Engine, Vec<u8>) {
+    let policy = CheckpointPolicy::every(CHECKPOINT_EVERY);
+    let media = LogMedia::new();
+    let e = Engine::new(EngineConfig::asterixdb());
+    e.enable_durability(Arc::clone(&media), policy)
+        .expect("wal");
+    e.create_dataset("Default", "T", Some("id")).expect("ddl");
+    e.load("Default", "T", rows(1..4)).expect("first batch");
+    e.set_fault_plan(Some(Arc::new(FaultPlan::panic_at(
+        SEED,
+        "sqlengine/SqlPlusPlus/apply",
+        0,
+    ))));
+    assert_panics(AssertUnwindSafe(|| {
+        let _ = e.load("Default", "T", rows(4..7));
+    }));
+    let replayed = Engine::new(EngineConfig::asterixdb());
+    replayed.enable_durability(media, policy).expect("replay");
+    (e, encode_ops(&replayed.durable_snapshot()))
+}
+
+fn torn_doc_store() -> (DocStore, Vec<u8>) {
+    let policy = CheckpointPolicy::every(CHECKPOINT_EVERY);
+    let media = LogMedia::new();
+    let d = DocStore::new();
+    d.enable_durability(Arc::clone(&media), policy)
+        .expect("wal");
+    d.create_collection("users").expect("ddl");
+    d.insert_many("users", rows(1..4)).expect("first batch");
+    d.set_fault_plan(Some(Arc::new(FaultPlan::panic_at(
+        SEED,
+        "docstore/apply",
+        0,
+    ))));
+    assert_panics(AssertUnwindSafe(|| {
+        let _ = d.insert_many("users", rows(4..7));
+    }));
+    let replayed = DocStore::new();
+    replayed.enable_durability(media, policy).expect("replay");
+    (d, encode_ops(&replayed.durable_snapshot()))
+}
+
+fn torn_graph_store() -> (GraphStore, Vec<u8>) {
+    let policy = CheckpointPolicy::every(CHECKPOINT_EVERY);
+    let media = LogMedia::new();
+    let g = GraphStore::new();
+    g.enable_durability(Arc::clone(&media), policy)
+        .expect("wal");
+    g.create_label("Person").expect("ddl");
+    g.insert_nodes("Person", rows(1..4)).expect("first batch");
+    g.set_fault_plan(Some(Arc::new(FaultPlan::panic_at(
+        SEED,
+        "graphstore/apply",
+        0,
+    ))));
+    assert_panics(AssertUnwindSafe(|| {
+        let _ = g.insert_nodes("Person", rows(4..7));
+    }));
+    let replayed = GraphStore::new();
+    replayed.enable_durability(media, policy).expect("replay");
+    (g, encode_ops(&replayed.durable_snapshot()))
+}
+
+/// `durable_snapshot()` as the *first* call after the panic heals before
+/// it reads: it must already hold the committed batch, on every store.
+#[test]
+fn durable_snapshot_heals_before_it_reads_on_every_store() {
+    let (e, replayed) = torn_engine();
+    assert_eq!(encode_ops(&e.durable_snapshot()), replayed, "sqlengine");
+    let (d, replayed) = torn_doc_store();
+    assert_eq!(encode_ops(&d.durable_snapshot()), replayed, "docstore");
+    let (g, replayed) = torn_graph_store();
+    assert_eq!(encode_ops(&g.durable_snapshot()), replayed, "graphstore");
+}
+
+/// A crash injected at the query site of a torn store: the first query
+/// fails transient ("process restarted"), the store comes back whole —
+/// poison cleared, committed batch present — and the retry is served,
+/// identically on every store.
+#[test]
+fn query_site_crash_on_a_torn_store_recovers_on_every_store() {
+    let crash_at = |site: &str| Some(Arc::new(FaultPlan::crash_at(SEED, site, 0)));
+
+    let (e, replayed) = torn_engine();
+    e.set_fault_plan(crash_at("sqlengine/SqlPlusPlus"));
+    let probe = "SELECT VALUE t FROM T t";
+    let err = e.query(probe).expect_err("injected crash");
+    assert!(err.is_transient(), "sqlengine: {err}");
+    assert_eq!(e.query(probe).expect("retry").len(), 6);
+    assert_eq!(encode_ops(&e.durable_snapshot()), replayed, "sqlengine");
+
+    let (d, replayed) = torn_doc_store();
+    d.set_fault_plan(crash_at("docstore"));
+    let probe = r#"[{"$match":{}}]"#;
+    let err = d.aggregate("users", probe).expect_err("injected crash");
+    assert!(err.is_transient(), "docstore: {err}");
+    assert_eq!(d.aggregate("users", probe).expect("retry").len(), 6);
+    assert_eq!(encode_ops(&d.durable_snapshot()), replayed, "docstore");
+
+    let (g, replayed) = torn_graph_store();
+    g.set_fault_plan(crash_at("graphstore"));
+    let probe = "MATCH (p:Person) RETURN p";
+    let err = g.query(probe).expect_err("injected crash");
+    assert!(err.is_transient(), "graphstore: {err}");
+    assert_eq!(g.query(probe).expect("retry").len(), 6);
+    assert_eq!(encode_ops(&g.durable_snapshot()), replayed, "graphstore");
+}
