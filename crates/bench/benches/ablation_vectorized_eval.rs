@@ -13,10 +13,9 @@
 //!   vs the batch hash-join path.
 //! * `kernel_specialization` — the fused filter+aggregate
 //!   `ablations::KERNEL_QUERY` on one worker: the generic vectorized
-//!   interpreter vs specialized null-fast fused kernels. Each engine is
-//!   warmed twice before timing so the adaptive promotion policy
-//!   (`PROMOTE_AFTER` executions) has already engaged when sampling
-//!   starts.
+//!   interpreter vs specialized null-fast fused kernels. Each engine
+//!   runs the query once before timing so its plan cache is warm when
+//!   sampling starts.
 //!
 //! Output is byte-identical across every mode, so each gap is pure
 //! evaluation overhead.
@@ -58,9 +57,7 @@ fn main() {
     g.measurement_time(std::time::Duration::from_secs(2));
     for (mode, specialize) in [("generic", false), ("specialized", true)] {
         let engine = kernel_engine(N, specialize);
-        for _ in 0..2 {
-            engine.query(KERNEL_QUERY).unwrap();
-        }
+        engine.query(KERNEL_QUERY).unwrap();
         g.bench_function(mode, |b| b.iter(|| engine.query(KERNEL_QUERY).unwrap()));
     }
     g.finish();

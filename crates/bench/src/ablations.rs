@@ -287,7 +287,7 @@ pub fn vectorized_eval_ablation(num_records: usize, samples: usize) -> Vec<Vecto
 /// aggregates over bare scan columns (folded straight into typed
 /// accumulators by the fused-aggregate kernel — no projected batch is
 /// ever materialized). Both modes run the same vectorized pipeline; the
-/// only difference is generic per-lane interpretation vs the promoted
+/// only difference is generic per-lane interpretation vs the specialized
 /// null-fast kernels.
 pub const KERNEL_QUERY: &str = "SELECT COUNT(*) AS c, SUM(t.\"unique1\") AS s, \
      MIN(t.\"unique2\") AS mn, MAX(t.\"unique1\") AS mx \
@@ -311,10 +311,9 @@ pub fn kernel_engine(num_records: usize, specialize: bool) -> Engine {
 
 /// Measure [`KERNEL_QUERY`] on the generic vectorized interpreter vs the
 /// specialized kernels — same query, same batches, same single core.
-/// Warm-up runs each engine twice (the promotion threshold, so the
-/// specialized engine's timed runs all hit promoted kernels) and doubles
-/// as the byte-identity check across rowwise, generic, specialized and
-/// parallel execution.
+/// One warm-up run per engine fills its plan cache and doubles as the
+/// byte-identity check across rowwise, generic, specialized and parallel
+/// execution.
 pub fn kernel_specialization_ablation(
     num_records: usize,
     samples: usize,
@@ -327,21 +326,9 @@ pub fn kernel_specialization_ablation(
     let rowwise = eval_engine(num_records, false);
     let parallel = join_engine(num_records, true);
     let reference = format!("{:?}", rowwise.query(KERNEL_QUERY).unwrap());
-    for (mode, engine) in &engines {
-        for run in 1..=2 {
-            let out = format!("{:?}", engine.query(KERNEL_QUERY).unwrap());
-            assert_eq!(
-                out, reference,
-                "{mode} run {run} diverged from the row path"
-            );
-        }
-    }
-    for run in 1..=2 {
-        let out = format!("{:?}", parallel.query(KERNEL_QUERY).unwrap());
-        assert_eq!(
-            out, reference,
-            "parallel run {run} diverged from the row path"
-        );
+    for (mode, engine) in engines.iter().chain([&("parallel", parallel)]) {
+        let out = format!("{:?}", engine.query(KERNEL_QUERY).unwrap());
+        assert_eq!(out, reference, "{mode} diverged from the row path");
     }
     let mut times: Vec<Vec<Duration>> = vec![Vec::with_capacity(samples); engines.len()];
     for _ in 0..samples {
@@ -370,8 +357,8 @@ pub fn kernel_specialization_ablation(
 /// rows, and a scalar `SUM` on top. Row-at-a-time execution materializes
 /// a record per join event and walks the `Scalar` tree through all three
 /// operators; the batch path probes the hash table per selection vector
-/// (dictionary codes where possible), fuses filter+project, and folds
-/// partial aggregates per morsel.
+/// (dictionary codes where possible) and folds partial aggregates per
+/// morsel.
 pub const JOIN_QUERY: &str = "SELECT SUM(t.\"unique2\") AS s FROM \
      (SELECT l.*, r.* FROM (SELECT * FROM Bench.wisconsin) l \
       INNER JOIN (SELECT * FROM Bench.wisconsin) r ON l.\"unique1\" = r.\"unique1\") t \
@@ -630,9 +617,9 @@ pub struct FallbackBreakdown {
     /// The exec trace's `vectorized` note: `"true"`, or
     /// `"fallback:<cause>"` naming the operator that declined.
     pub mode: String,
-    /// The exec trace's `kernel` note on the *second* execution
-    /// (`"specialized"` once the promotion policy engaged, `"generic"`
-    /// for shapes specialization declines, `"-"` off the batch path).
+    /// The exec trace's `kernel` note (`"specialized"` for pipelines with
+    /// a specialized form, `"generic"` for shapes specialization
+    /// declines, `"-"` off the batch path).
     pub kernel: String,
     /// Dictionary build health: `"hit-rate NN%"` (the fraction of string
     /// columns that stayed dictionary-encoded) with ` (demoted)` appended
@@ -652,15 +639,13 @@ impl FallbackBreakdown {
 }
 
 /// Run the fallback suite on a default-configuration engine and report
-/// each query's `vectorized` trace note plus the kernel tier and
-/// dictionary health of its second execution (the promotion policy needs
-/// one warm-up run before specialized kernels can appear).
+/// each query's `vectorized` trace note plus its kernel tier and
+/// dictionary health.
 pub fn fallback_breakdown(num_records: usize) -> Vec<FallbackBreakdown> {
     let engine = join_engine(num_records, true);
     FALLBACK_SUITE
         .iter()
         .map(|(shape, sql)| {
-            engine.query(sql).unwrap(); // warm-up: promotion counts this run
             let (_, span) = engine.query_traced(sql).unwrap();
             let exec = span.find("exec");
             let mode = exec
@@ -737,10 +722,9 @@ mod tests {
         for r in &rows {
             assert_eq!(r.mode, "true", "{} fell back", r.shape);
         }
-        // The traced run is each query's second execution, so fusable
-        // shapes must already be promoted...
+        // Fusable shapes specialize on their first execution...
         let fused = rows.iter().find(|r| r.shape == "fused filter+agg").unwrap();
-        assert_eq!(fused.kernel, "specialized", "promotion did not engage");
+        assert_eq!(fused.kernel, "specialized");
         // ...and the unique-string projection must report its dictionary
         // demotion with a hit rate.
         let dict = rows.iter().find(|r| r.shape == "dict overflow").unwrap();

@@ -349,3 +349,136 @@ fn get_dummies_renders_double_literals() {
     assert!(dummies.query().contains("v_1_5"), "{}", dummies.query());
     assert_eq!(dummies.head(2).unwrap().len(), 2);
 }
+
+/// Which executor tier serves each operation the benchmark issues, on
+/// its *first* execution against a fresh engine: the 13 Table III
+/// expressions and the point operations through `AFrame` on the three
+/// SQL-engine personalities, 12 000 Wisconsin rows, the benchmark's four
+/// indexes. Every op either runs the batch path (`vectorized=true`, with
+/// the kernel tier its pipeline compiles to) or is an index-only operator
+/// on the row interpreter; `value_counts` (a grouped aggregate under a
+/// sort's projection) is the one sanctioned nested-blocking fallback. A
+/// new fallback cause, or a shape that stops specializing, fails here.
+#[test]
+fn executor_tier_per_benchmark_operation() {
+    const ROWS: usize = 12_000;
+    const K: i64 = 4_321;
+    const OPS: [&str; 16] = [
+        "e01", "e02", "e03", "e04", "e05", "e06", "e07", "e08", "e09", "e10", "e11", "e12", "e13",
+        "pt_eq", "pt_range", "pt_chain",
+    ];
+    // (personality, ops on specialized kernels, index-only ops); every
+    // other op runs the generic batch interpreter.
+    type ConfigFn = fn() -> EngineConfig;
+    let expected: [(&str, ConfigFn, &[&str], &[&str]); 3] = [
+        (
+            "sqlpp",
+            EngineConfig::asterixdb,
+            &["e03", "e06", "e07", "e11", "e13", "pt_range"],
+            &["e01", "e12"],
+        ),
+        (
+            "sql",
+            EngineConfig::postgres,
+            &["e01", "e03"],
+            &["e06", "e07", "e09", "e11", "e13", "pt_range"],
+        ),
+        (
+            "greenplum",
+            EngineConfig::greenplum,
+            &["e01", "e03", "e06", "e07", "e11", "pt_range"],
+            &["e13"],
+        ),
+    ];
+    let records = generate(&WisconsinConfig::new(ROWS));
+    for (name, config, specialized, index_only) in expected {
+        let engine = Arc::new(Engine::new(config()));
+        for ds in [DS, "wisconsin2"] {
+            engine.create_dataset(NS, ds, Some("unique2")).unwrap();
+            engine.load(NS, ds, records.clone()).unwrap();
+            for attr in ["unique1", "ten", "onePercent", "tenPercent"] {
+                engine.create_index(NS, ds, attr).unwrap();
+            }
+        }
+        let connector: Arc<dyn DatabaseConnector> = if name == "sqlpp" {
+            Arc::new(AsterixConnector::new(engine))
+        } else {
+            Arc::new(PostgresConnector::new(engine))
+        };
+        let df = AFrame::new(NS, DS, connector).unwrap();
+        let df2 = df.sibling(NS, "wisconsin2").unwrap();
+        let tier = |frame: &AFrame| -> (String, Option<String>) {
+            let trace = frame.last_trace().expect("the action records a trace");
+            let exec = trace.span("exec").expect("exec span");
+            (
+                exec.note("vectorized").unwrap_or("-").to_string(),
+                exec.note("kernel").map(str::to_string),
+            )
+        };
+        for op in OPS {
+            let frame = match op {
+                "e01" => df.clone(),
+                "e02" => df.select(&["two", "four"]).unwrap(),
+                "e03" => df
+                    .mask(&(col("ten").eq(3) & col("twentyPercent").eq(3) & col("two").eq(1)))
+                    .unwrap(),
+                "e04" => df.groupby("oddOnePercent").agg(AggFunc::Count).unwrap(),
+                "e05" => df.col("stringu1").unwrap().map(MapFunc::Upper).unwrap(),
+                "e06" | "e07" => df.col("unique1").unwrap(),
+                "e08" => df.groupby("twenty").agg_on("four", AggFunc::Max).unwrap(),
+                "e09" => df.sort_values("unique1", false).unwrap(),
+                "e10" => df.mask(&col("ten").eq(3)).unwrap(),
+                "e11" => df
+                    .mask(&(col("onePercent").ge(20) & col("onePercent").le(35)))
+                    .unwrap(),
+                "e12" => df.merge(&df2, "unique1").unwrap(),
+                "e13" => df.mask(&col("tenPercent").is_na()).unwrap(),
+                "pt_eq" => df.mask(&col("unique1").eq(K)).unwrap(),
+                "pt_range" => df
+                    .mask(&(col("unique1").ge(K) & col("unique1").lt(K + 50)))
+                    .unwrap(),
+                _ => df
+                    .mask(&col("unique1").eq(K))
+                    .unwrap()
+                    .select(&["two", "four"])
+                    .unwrap(),
+            };
+            match op {
+                "e01" | "e03" | "e11" | "e12" | "e13" | "pt_range" => {
+                    frame.len().unwrap();
+                }
+                "e04" | "e08" => {
+                    frame.collect().unwrap();
+                }
+                "e06" => {
+                    frame.max().unwrap();
+                }
+                "e07" => {
+                    frame.min().unwrap();
+                }
+                "pt_chain" => {
+                    frame.head(1).unwrap();
+                }
+                _ => {
+                    frame.head(5).unwrap();
+                }
+            }
+            let want = if index_only.contains(&op) {
+                ("fallback:index_only".to_string(), None)
+            } else if specialized.contains(&op) {
+                ("true".to_string(), Some("specialized".to_string()))
+            } else {
+                ("true".to_string(), Some("generic".to_string()))
+            };
+            assert_eq!(tier(&frame), want, "{name} {op}: {}", frame.query());
+        }
+        let counts = df.value_counts("ten").unwrap();
+        counts.collect().unwrap();
+        assert_eq!(
+            tier(&counts),
+            ("fallback:aggregate".to_string(), None),
+            "{name} value_counts: {}",
+            counts.query()
+        );
+    }
+}

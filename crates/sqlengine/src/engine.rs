@@ -3,7 +3,7 @@
 use crate::catalog::Database;
 use crate::dialect::Dialect;
 use crate::error::{EngineError, Result};
-use crate::exec::{ExecOptions, Executor, KernelCache};
+use crate::exec::{ExecOptions, Executor};
 use crate::parser::parse;
 use crate::personality::Personality;
 use crate::plan::builder::build_logical;
@@ -102,10 +102,6 @@ pub struct Engine {
     config: EngineConfig,
     shell: DurableStore<Database>,
     plan_cache: PlanCache,
-    /// Adaptive kernel-promotion state: per-shape execution counts and
-    /// promoted kernel plans, shared by every session (and every morsel
-    /// worker) of this engine. Catalog-versioned like the plan cache.
-    kernels: KernelCache,
 }
 
 impl std::ops::Deref for Engine {
@@ -132,7 +128,6 @@ impl Engine {
             shell: DurableStore::new(format!("sqlengine/{:?}", config.dialect), state),
             config,
             plan_cache: PlanCache::new(),
-            kernels: KernelCache::new(),
         }
     }
 
@@ -267,11 +262,7 @@ impl Engine {
     pub fn query(&self, sql: &str) -> Result<Vec<Value>> {
         let db = self.pin_query()?;
         let compiled = self.compiled(sql, &db)?;
-        let (rows, _) = Executor::new(&db).run_with_kernels(
-            &compiled.plan.physical,
-            &self.config.exec,
-            Some((&self.kernels, db.version())),
-        )?;
+        let (rows, _) = Executor::new(&db).run_with(&compiled.plan.physical, &self.config.exec)?;
         Ok(rows)
     }
 
@@ -306,11 +297,7 @@ impl Engine {
         plan_span.set_metric("cache_lookup", 1);
 
         let mut exec_t = SpanTimer::start("exec");
-        let (rows, report) = Executor::new(&db).run_with_kernels(
-            &plan.physical,
-            &self.config.exec,
-            Some((&self.kernels, db.version())),
-        )?;
+        let (rows, report) = Executor::new(&db).run_with(&plan.physical, &self.config.exec)?;
         exec_t.span_mut().set_metric("rows_out", rows.len() as i64);
         exec_t
             .span_mut()
@@ -337,9 +324,10 @@ impl Engine {
             exec_t
                 .span_mut()
                 .set_metric("batch_rows", report.batch_rows as i64);
-            // Which kernel tier ran: `specialized` = promoted null-fast /
-            // fused kernels, `generic` = the per-lane tag-checked
-            // interpreter (including warm-up runs before promotion).
+            // Which kernel tier ran: `specialized` = fused predicate
+            // trees / typed folds / the record-direct kernel, `generic` =
+            // the per-lane tag-checked interpreter (the pipeline has no
+            // specialized form, or `specialize` is off).
             exec_t.span_mut().set_note(
                 "kernel",
                 if report.specialized {
@@ -348,9 +336,6 @@ impl Engine {
                     "generic"
                 },
             );
-            exec_t
-                .span_mut()
-                .set_metric("kernel_promotions", self.kernels.promotions() as i64);
             // Dictionary build health across this query's batches:
             // `dict_columns` counts per-batch columns that finished
             // dictionary-encoded, `dict_demoted` those that overflowed
@@ -399,11 +384,7 @@ impl Engine {
     pub fn execute_logical(&self, logical: &LogicalPlan) -> Result<Vec<Value>> {
         let db = self.pin()?;
         let physical = plan_physical(logical, &db, &self.planner_options(&db))?;
-        let (rows, _) = Executor::new(&db).run_with_kernels(
-            &physical,
-            &self.config.exec,
-            Some((&self.kernels, db.version())),
-        )?;
+        let (rows, _) = Executor::new(&db).run_with(&physical, &self.config.exec)?;
         Ok(rows)
     }
 

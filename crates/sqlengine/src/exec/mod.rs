@@ -12,15 +12,12 @@ mod distinct;
 pub mod eval;
 #[deny(clippy::unwrap_used)]
 mod join;
-#[deny(clippy::unwrap_used)]
-pub mod kernel;
 pub mod parallel;
 mod vector;
 
-pub use kernel::KernelCache;
 pub use parallel::{
-    available_threads, batch_rows_override, default_batch_rows, ExecOptions, ExecReport,
-    DEFAULT_BATCH_ROWS, DEFAULT_MORSEL_ROWS, MAX_BATCH_ROWS,
+    available_threads, ExecOptions, ExecReport, DEFAULT_BATCH_ROWS, DEFAULT_MORSEL_ROWS,
+    MAX_BATCH_ROWS,
 };
 
 use crate::catalog::Database;
@@ -52,35 +49,23 @@ impl<'a> Executor<'a> {
         self.stream(plan)?.collect()
     }
 
-    /// Run a plan, using morsel-driven parallelism when `opts` allows and
-    /// the plan shape is parallel-safe; everything else (including plans
-    /// whose early-termination semantics matter, like `LIMIT`) takes the
-    /// serial streaming path. Parallel and serial executions produce
-    /// identical result sets.
+    /// Run a plan on the vectorized batch path (morsel-parallel when `opts`
+    /// allows and the scan spans several morsels) when `opts.vectorized` is
+    /// on and the plan compiles to a batch pipeline — early-exit `LIMIT`
+    /// pipelines included. Everything else (nested blocking operators, the
+    /// index-only operators, `VALUES`) runs the serial row interpreter, and
+    /// the report names why. Every path produces identical result sets.
     pub fn run_with(
         &self,
         plan: &'a PhysicalPlan,
         opts: &ExecOptions,
     ) -> Result<(Vec<Value>, ExecReport)> {
-        self.run_with_kernels(plan, opts, None)
-    }
-
-    /// [`Executor::run_with`] with an optional [`KernelCache`] carrying
-    /// adaptive kernel promotion state across queries, paired with the
-    /// catalog version of the snapshot being executed. Without a cache,
-    /// the vectorized path specializes eagerly (no warm-up counting).
-    pub fn run_with_kernels(
-        &self,
-        plan: &'a PhysicalPlan,
-        opts: &ExecOptions,
-        kernels: Option<(&KernelCache, u64)>,
-    ) -> Result<(Vec<Value>, ExecReport)> {
         let mut fallback = None;
-        if opts.workers > 1 || opts.vectorized {
-            match parallel::try_run(self.db, plan, opts, kernels) {
+        if opts.vectorized {
+            match parallel::try_run(self.db, plan, opts) {
                 parallel::TryRunOutcome::Ran(result) => return result,
-                // Remember *why* the batch/parallel path declined, so the
-                // trace can report `fallback:<cause>`.
+                // Remember *why* the batch path declined, so the trace can
+                // report `fallback:<cause>`.
                 parallel::TryRunOutcome::Fallback(cause) => fallback = Some(cause),
             }
         }

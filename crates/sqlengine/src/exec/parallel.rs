@@ -4,10 +4,11 @@
 //! the scan leaf of a pipeline is split into fixed-size slot-range *morsels*
 //! (heap slot ranges for `SeqScan`, chunks of a materialized rid list for
 //! `IndexScan`), a small pool of `std::thread::scope` workers pulls morsel
-//! indexes off a shared atomic counter, runs the row-local operators
-//! (filter/project) plus a per-morsel partial of the blocking terminal
-//! (partial aggregation, chunk sort), and the coordinator merges partials
-//! **in morsel order** so parallel execution is byte-identical to serial:
+//! indexes off a shared atomic counter, runs the compiled batch pipeline
+//! ([`super::vector`]) over each morsel into a per-morsel partial of the
+//! blocking terminal (partial aggregation, chunk sort), and the coordinator
+//! merges partials **in morsel order** so parallel execution is
+//! byte-identical to serial:
 //!
 //! * plain pipelines concatenate morsel outputs in morsel order — the same
 //!   row order a serial scan produces;
@@ -22,16 +23,16 @@
 //! * joins build their hash table (or resolve their inner index) once on
 //!   the coordinator and probe per-batch on the vectorized path.
 //!
-//! Plans whose shape still is not parallel-safe (nested blocking operators,
-//! the index-only fast paths, `VALUES`) fall back to the serial streaming
-//! executor unchanged, and [`TryRunOutcome::Fallback`] carries *why* so the
-//! trace can report `fallback:<cause>`.
+//! Plans that do not decompose this way (nested blocking operators, the
+//! index-only fast paths, `VALUES`) and pipelines the batch compiler
+//! declines run on the serial row interpreter unchanged, and
+//! [`TryRunOutcome::Fallback`] carries *why* so the trace can report
+//! `fallback:<cause>`.
 
 use super::aggregate::{Accumulator, OrdValue};
 use super::distinct::DistinctSet;
-use super::eval::{eval, passes_filter};
+use super::eval::eval;
 use super::join::ValueHashTable;
-use super::kernel::KernelCache;
 use super::vector;
 use super::{project_row, AggState};
 use crate::ast::JoinKind;
@@ -68,9 +69,11 @@ pub struct ExecOptions {
     pub vectorized: bool,
     /// Rows per column batch on the vectorized path.
     pub batch_rows: usize,
-    /// Allow specialized (null-fast / fused) kernels on the vectorized
-    /// path. Off forces the generic per-lane interpreter everywhere —
-    /// the ablation baseline. Results are byte-identical either way.
+    /// Specialize each compiled pipeline (fused predicate trees, typed
+    /// aggregate folds, the record-direct kernel) on the vectorized path.
+    /// Off forces the generic per-lane interpreter everywhere — the
+    /// ablation baseline and the sweeps' reference for the typed kernels.
+    /// Results are byte-identical either way.
     pub specialize: bool,
 }
 
@@ -80,7 +83,7 @@ impl Default for ExecOptions {
             workers: available_threads(),
             morsel_rows: DEFAULT_MORSEL_ROWS,
             vectorized: true,
-            batch_rows: default_batch_rows(),
+            batch_rows: DEFAULT_BATCH_ROWS,
             specialize: true,
         }
     }
@@ -138,27 +141,6 @@ pub fn thread_override(raw: Option<&str>) -> Option<usize> {
         .filter(|n| *n >= 1)
 }
 
-/// Batch size for the vectorized path: the `POLYFRAME_BATCH_SIZE`
-/// environment variable when set to a valid value, otherwise
-/// [`DEFAULT_BATCH_ROWS`]. Read once and cached, like
-/// [`available_threads`].
-pub fn default_batch_rows() -> usize {
-    static CACHED: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
-    *CACHED.get_or_init(|| {
-        batch_rows_override(std::env::var("POLYFRAME_BATCH_SIZE").ok().as_deref())
-            .unwrap_or(DEFAULT_BATCH_ROWS)
-    })
-}
-
-/// Parse a `POLYFRAME_BATCH_SIZE`-style override. Zero and garbage are
-/// rejected (the default applies); absurdly large values clamp to
-/// [`MAX_BATCH_ROWS`] — an override can never panic or wedge execution.
-pub fn batch_rows_override(raw: Option<&str>) -> Option<usize> {
-    raw.and_then(|s| s.trim().parse::<usize>().ok())
-        .filter(|n| *n >= 1)
-        .map(|n| n.min(MAX_BATCH_ROWS))
-}
-
 /// How one plan execution actually ran.
 #[derive(Debug, Clone, Default)]
 pub struct ExecReport {
@@ -180,8 +162,9 @@ pub struct ExecReport {
     /// Why the vectorized path declined, when it did (`None` when it ran,
     /// or when vectorization was off).
     pub fallback: Option<&'static str>,
-    /// Whether specialized kernels (null-fast typed loops, fused
-    /// predicate/aggregate passes) were engaged for this execution.
+    /// Whether the compiled pipeline had a specialized form (fused
+    /// predicate trees, typed aggregate fold, record-direct kernel) and
+    /// `opts.specialize` allowed it.
     pub specialized: bool,
     /// Dictionary-encoded string columns built across processed batches.
     pub dict_columns: usize,
@@ -202,14 +185,14 @@ impl ExecReport {
 
 /// What [`try_run`] decided.
 pub(super) enum TryRunOutcome {
-    /// The morsel/batch path ran (successfully or not).
+    /// The batch path ran (successfully or not).
     Ran(Result<(Vec<Value>, ExecReport)>),
-    /// Neither morsel parallelism nor batches apply; the named operator or
-    /// expression shape is why. Run the serial row path.
+    /// The plan has no batch pipeline; the named operator or expression
+    /// shape is why. Run the serial row path.
     Fallback(&'static str),
 }
 
-/// Row-local operators a worker applies to each scanned row.
+/// Row-local operators between the scan leaf and the terminal.
 pub(super) enum MorselOp<'p> {
     Filter(&'p Scalar),
     Project(&'p ProjectSpec),
@@ -270,16 +253,6 @@ pub(super) enum JoinVariantSpec<'p> {
     },
     /// `PhysicalPlan::IndexNLJoin`: probe the inner index per outer row.
     IndexNl { inner: &'p (DatasetRef, String) },
-}
-
-impl JoinSpec<'_> {
-    /// Fallback-cause label when this join cannot run vectorized.
-    fn cause(&self) -> &'static str {
-        match self.variant {
-            JoinVariantSpec::Hash { .. } => "hash_join",
-            JoinVariantSpec::IndexNl { .. } => "index_nl_join",
-        }
-    }
 }
 
 /// A parallel-safe decomposition of a physical plan.
@@ -693,45 +666,30 @@ impl LimitGate {
     }
 }
 
-/// Try to run `plan` with morsel parallelism and/or vectorized batches.
-/// `kernels` carries cross-query promotion state and `db`'s catalog
-/// version: with a cache, programs specialize only once hot; without one,
-/// eagerly.
-pub(super) fn try_run(
-    db: &Database,
-    plan: &PhysicalPlan,
-    opts: &ExecOptions,
-    kernels: Option<(&KernelCache, u64)>,
-) -> TryRunOutcome {
+/// Try to run `plan` on the vectorized batch path, morsel-parallel when
+/// `opts` and the scan domain allow. The pipeline compiles — and, unless
+/// `opts.specialize` is off, specializes — once per execution; both are
+/// pure functions of the plan.
+pub(super) fn try_run(db: &Database, plan: &PhysicalPlan, opts: &ExecOptions) -> TryRunOutcome {
     use TryRunOutcome::{Fallback, Ran};
     let pp = match analyze(plan) {
         Ok(pp) => pp,
         Err(cause) => return Fallback(cause),
     };
-    // Compile the pipeline's scalar expressions into batch programs once
-    // per query; an unsupported shape names the fallback cause.
-    let mut compile_time = Duration::ZERO;
-    let compiled = if opts.vectorized {
-        let started = Instant::now();
-        let vp = vector::compile(&pp);
-        compile_time = started.elapsed();
-        vp
+    // Compile the pipeline's scalar expressions into batch programs; an
+    // unsupported shape names the fallback cause. `spec == None` simply
+    // means generic kernels.
+    let started = Instant::now();
+    let vp = match vector::compile(&pp) {
+        Ok(vp) => vp,
+        Err(cause) => return Fallback(cause),
+    };
+    let spec = if opts.specialize {
+        vector::specialize(&vp)
     } else {
-        Err(pp.join.as_ref().map(JoinSpec::cause).unwrap_or("disabled"))
+        None
     };
-    let (vp, row_fallback) = match compiled {
-        Ok(vp) => (Some(vp), None),
-        Err(cause) => {
-            // Joins and early-exit limits exist only on the batch path:
-            // row-at-a-time morsels would drain the whole domain (firing
-            // errors `take(n)` never reaches) and cannot probe a build
-            // table. Single-worker row morsels gain nothing over serial.
-            if pp.join.is_some() || pp.early_exit_limit().is_some() || opts.workers <= 1 {
-                return Fallback(cause);
-            }
-            (None, Some(cause))
-        }
-    };
+    let compile_time = started.elapsed();
 
     // The join's build side materializes before the probe table resolves
     // (row-path error order: the build stream drains during stream
@@ -752,19 +710,6 @@ pub(super) fn try_run(
         Ok(t) => t,
         // The serial path would fail identically; surface the error here.
         Err(e) => return Ran(Err(e)),
-    };
-
-    // Kernel specialization: with a promotion cache the program must go
-    // hot first (the generic path runs while warming up); without one,
-    // specialize eagerly. Either way `None` simply means generic kernels.
-    let spec: Option<std::sync::Arc<vector::KernelPlan>> = match &vp {
-        Some(vp) if opts.specialize => match kernels {
-            Some((cache, version)) => {
-                cache.resolve(vector::fingerprint(&dataset.dataset, vp), version, vp)
-            }
-            None => vector::specialize(vp).map(std::sync::Arc::new),
-        },
-        _ => None,
     };
 
     // Materialize the scan domain: heap slots, or the rid list of one
@@ -808,24 +753,20 @@ pub(super) fn try_run(
         ranges.len().max(1)
     };
     if opts.workers <= 1 || ranges.len() < 2 || worker_budget <= 1 {
-        // Not enough work (or threads) to parallelize. A compiled
-        // pipeline still runs vectorized, single-threaded over the whole
-        // domain (with the limit stopping the scan early); otherwise a
-        // single morsel gains nothing over serial.
-        return match vp {
-            Some(vp) => Ran(run_sequential(
-                table,
-                rids.as_deref(),
-                domain,
-                &pp,
-                &vp,
-                rt.as_ref(),
-                spec.as_deref(),
-                batch_rows,
-                compile_time,
-            )),
-            None => Fallback(row_fallback.unwrap_or("disabled")),
-        };
+        // Not enough work (or threads) to parallelize: run vectorized,
+        // single-threaded over the whole domain (with the limit stopping
+        // the scan early).
+        return Ran(run_sequential(
+            table,
+            rids.as_deref(),
+            domain,
+            &pp,
+            &vp,
+            rt.as_ref(),
+            spec.as_ref(),
+            batch_rows,
+            compile_time,
+        ));
     }
 
     let early = pp.early_exit_limit();
@@ -846,19 +787,20 @@ pub(super) fn try_run(
                     break;
                 };
                 let started = Instant::now();
-                let out = run_morsel(
+                let mut sink = MorselSink::new(&pp.terminal, early);
+                let out = vector::run_range(
                     table,
                     rids.as_deref(),
                     lo,
                     hi,
-                    &pp,
-                    vp.as_ref(),
+                    &vp,
                     rt.as_ref(),
-                    spec.as_deref(),
-                    early,
+                    spec.as_ref(),
                     batch_rows,
+                    &mut sink,
                     gate.as_ref().map(|g| &g.done),
-                );
+                )
+                .map(|stats| (sink.finish(), stats));
                 if let Some(g) = &gate {
                     match &out {
                         Ok((MorselOut::Limited { rows, err }, _)) => g.record(
@@ -900,7 +842,6 @@ pub(super) fn try_run(
         }
     }
 
-    let vectorized = vp.is_some();
     let specialized = spec.is_some();
     Ran(merge(parts, &pp).map(|rows| {
         (
@@ -908,11 +849,11 @@ pub(super) fn try_run(
             ExecReport {
                 parallelism: workers,
                 morsel_times,
-                vectorized,
+                vectorized: true,
                 batches: stats.batches,
-                batch_rows: if vectorized { batch_rows } else { 0 },
+                batch_rows,
                 compile_time,
-                fallback: row_fallback,
+                fallback: None,
                 specialized,
                 dict_columns: stats.dict_columns,
                 dict_demoted: stats.dict_demoted,
@@ -981,11 +922,8 @@ fn run_sequential(
     ))
 }
 
-/// The per-morsel part of the terminal, fed one row at a time. Streaming
-/// matters: each scanned row is a fresh record clone, and aggregate
-/// morsels that fold rows immediately (dropping each clone right away,
-/// like the serial path) run ~2-3x faster than morsels that materialize
-/// their input first.
+/// The per-morsel part of the terminal, fed by the batch pipeline: result
+/// rows, pre-keyed sort rows, or pre-evaluated aggregate arguments.
 pub(super) enum MorselSink<'p> {
     Collect {
         rows: Vec<Value>,
@@ -998,7 +936,6 @@ pub(super) enum MorselSink<'p> {
     },
     Aggregate(AggState<'p>),
     Sort {
-        keys: &'p [(Scalar, bool)],
         topk: Option<u64>,
         keyed: Vec<(Vec<SortKey>, Value)>,
     },
@@ -1017,8 +954,7 @@ impl<'p> MorselSink<'p> {
                 aggs,
                 mode,
             } => MorselSink::Aggregate(AggState::new(group_by, aggs, *mode)),
-            Terminal::Sort { keys, topk } => MorselSink::Sort {
-                keys,
+            Terminal::Sort { topk, .. } => MorselSink::Sort {
                 topk: *topk,
                 keyed: Vec::new(),
             },
@@ -1088,16 +1024,12 @@ impl<'p> MorselSink<'p> {
         }
     }
 
-    pub(super) fn push(&mut self, row: Value) -> Result<()> {
+    /// Push one result row of a plain (`Collect`) pipeline.
+    pub(super) fn push(&mut self, row: Value) {
         match self {
             MorselSink::Collect { rows, .. } => rows.push(row),
-            MorselSink::Aggregate(state) => state.push(&row)?,
-            MorselSink::Sort { keys, keyed, .. } => {
-                let key = sort_keys(keys, &row)?;
-                keyed.push((key, row));
-            }
+            _ => unreachable!("row push on a non-collect sink"),
         }
-        Ok(())
     }
 
     pub(super) fn finish(self) -> MorselOut {
@@ -1123,81 +1055,6 @@ impl<'p> MorselSink<'p> {
             }
         }
     }
-}
-
-/// Scan one morsel, apply the row-local ops, and stream each surviving row
-/// into the per-morsel part of the terminal. Returns the morsel output and
-/// the batch-path processing stats (zeroed on the row path).
-#[allow(clippy::too_many_arguments)]
-fn run_morsel(
-    table: &Table,
-    rids: Option<&[RecordId]>,
-    lo: usize,
-    hi: usize,
-    pp: &ParallelPlan<'_>,
-    vp: Option<&vector::VecPipeline>,
-    rt: Option<&vector::JoinRuntime<'_>>,
-    spec: Option<&vector::KernelPlan>,
-    limit: Option<usize>,
-    batch_rows: usize,
-    stop: Option<&AtomicBool>,
-) -> Result<(MorselOut, vector::RangeStats)> {
-    let mut sink = MorselSink::new(&pp.terminal, limit);
-    if let Some(vp) = vp {
-        let stats = vector::run_range(
-            table, rids, lo, hi, vp, rt, spec, batch_rows, &mut sink, stop,
-        )?;
-        return Ok((sink.finish(), stats));
-    }
-    match rids {
-        None => {
-            for (_, record) in table.heap().scan_range(lo, hi) {
-                if let Some(row) = apply_ops(&pp.ops, Value::Obj(record.clone()))? {
-                    sink.push(row)?;
-                }
-            }
-        }
-        Some(rids) => {
-            for rid in &rids[lo..hi] {
-                let record = table
-                    .get(*rid)
-                    .ok_or_else(|| EngineError::exec("dangling index entry"))?;
-                if let Some(row) = apply_ops(&pp.ops, Value::Obj(record.clone()))? {
-                    sink.push(row)?;
-                }
-            }
-        }
-    }
-    Ok((sink.finish(), vector::RangeStats::default()))
-}
-
-/// Apply filters/projections to one row; `None` means filtered out.
-fn apply_ops(ops: &[MorselOp<'_>], mut row: Value) -> Result<Option<Value>> {
-    for op in ops {
-        match op {
-            MorselOp::Filter(pred) => {
-                if !passes_filter(pred, &row)? {
-                    return Ok(None);
-                }
-            }
-            MorselOp::Project(spec) => row = project_row(spec, &row)?,
-        }
-    }
-    Ok(Some(row))
-}
-
-/// Evaluate the sort key vector for one row, directions baked in.
-fn sort_keys(keys: &[(Scalar, bool)], row: &Value) -> Result<Vec<SortKey>> {
-    keys.iter()
-        .map(|(expr, desc)| {
-            let v = OrdValue(eval(expr, row)?);
-            Ok(if *desc {
-                SortKey::Desc(v)
-            } else {
-                SortKey::Asc(v)
-            })
-        })
-        .collect()
 }
 
 /// Merge per-morsel outputs (in morsel order) into the final row set.
@@ -1341,35 +1198,18 @@ mod tests {
 
     #[test]
     fn env_tuning_is_read_once_and_cached() {
-        // Regression: both knobs used to re-read the environment on
-        // every query, so a mid-run `set_var` silently changed execution
-        // behaviour (and raced against concurrent sessions). Prime the
-        // caches, then show later environment changes are ignored.
+        // Regression: the thread budget used to re-read the environment
+        // on every query, so a mid-run `set_var` silently changed
+        // execution behaviour (and raced against concurrent sessions).
+        // Prime the cache, then show later environment changes are
+        // ignored.
         let threads = available_threads();
-        let batch = default_batch_rows();
         std::env::set_var("POLYFRAME_THREADS", "1");
-        std::env::set_var("POLYFRAME_BATCH_SIZE", "17");
         assert_eq!(available_threads(), threads);
-        assert_eq!(default_batch_rows(), batch);
         std::env::remove_var("POLYFRAME_THREADS");
-        std::env::remove_var("POLYFRAME_BATCH_SIZE");
         let opts = ExecOptions::default();
         assert_eq!(opts.workers, threads);
-        assert_eq!(opts.batch_rows, batch);
-    }
-
-    #[test]
-    fn batch_rows_override_parsing() {
-        assert_eq!(batch_rows_override(Some("512")), Some(512));
-        assert_eq!(batch_rows_override(Some(" 64 ")), Some(64));
-        // Zero and garbage are rejected — the default applies.
-        assert_eq!(batch_rows_override(Some("0")), None);
-        assert_eq!(batch_rows_override(Some("huge")), None);
-        assert_eq!(batch_rows_override(None), None);
-        // Absurdly large values clamp instead of panicking or wedging.
-        assert_eq!(batch_rows_override(Some("999999999")), Some(MAX_BATCH_ROWS));
-        assert!(default_batch_rows() >= 1);
-        assert!(default_batch_rows() <= MAX_BATCH_ROWS);
+        assert_eq!(opts.batch_rows, DEFAULT_BATCH_ROWS);
     }
 
     #[test]

@@ -24,9 +24,9 @@
 //!   evaluator (`eval_binop` / `eval_unop` / `eval_func` / `eval_is`), so
 //!   a batch kernel can never disagree with `eval()` on a value. The fast
 //!   kernels (integer compare/arithmetic, dictionary-memoized string
-//!   compare, presence-tag `IS NULL`/`IS MISSING`, the fused
-//!   filter+project pass, dictionary-code join probes) are only taken
-//!   where they are provably equivalent.
+//!   compare, presence-tag `IS NULL`/`IS MISSING`, predicate-tree masks,
+//!   dictionary-code join probes) are only taken where they are provably
+//!   equivalent.
 //! * Errors are *poisoned per lane* (or per event) instead of raised
 //!   mid-batch: each lane records the first error it hits in program
 //!   order, poisoned lanes are skipped by later instructions, and the
@@ -96,13 +96,6 @@ enum VecStage {
     /// final projection, in [`RowEmit::Derived`]); the stage itself only
     /// needs the programs.
     Project(Vec<ExprProgram>),
-    /// A filter immediately followed by a projection, fused into one
-    /// select-and-gather pass over the batch (no intermediate selection
-    /// materialization when the typed fast path applies).
-    Fused {
-        pred: ExprProgram,
-        progs: Vec<ExprProgram>,
-    },
 }
 
 /// How surviving lanes turn back into result rows.
@@ -498,24 +491,6 @@ fn row_emit(c: &mut Compiler, value_emit: Option<ExprProgram>) -> RowEmit {
     }
 }
 
-/// Peephole-fuse each filter with an immediately following projection into
-/// one [`VecStage::Fused`] pass.
-fn fuse_stages(stages: Vec<VecStage>) -> Vec<VecStage> {
-    let mut out: Vec<VecStage> = Vec::with_capacity(stages.len());
-    for stage in stages {
-        match stage {
-            VecStage::Project(progs) if matches!(out.last(), Some(VecStage::Filter(_))) => {
-                let Some(VecStage::Filter(pred)) = out.pop() else {
-                    unreachable!("just matched a filter");
-                };
-                out.push(VecStage::Fused { pred, progs });
-            }
-            other => out.push(other),
-        }
-    }
-    out
-}
-
 /// Compile a parallel-safe plan decomposition into a vectorized pipeline;
 /// `Err` carries the fallback cause for the trace.
 pub(super) fn compile(pp: &ParallelPlan<'_>) -> CompileResult<VecPipeline> {
@@ -640,7 +615,7 @@ pub(super) fn compile(pp: &ParallelPlan<'_>) -> CompileResult<VecPipeline> {
         scan_fields: c.scan_fields,
         pre_stages,
         join,
-        stages: fuse_stages(stages),
+        stages,
         terminal,
     })
 }
@@ -1348,11 +1323,11 @@ pub(super) struct FusedAgg {
     cols: Vec<Option<usize>>,
 }
 
-/// A promoted kernel plan for one compiled pipeline: fused predicate
-/// trees aligned with the pre-join and post-join stages (`None` = run
-/// that stage generically), plus the fused aggregate fold when the
-/// terminal qualifies. Built once per hot program by [`specialize`] and
-/// shared read-only across morsel workers.
+/// The specialized form of one compiled pipeline: fused predicate trees
+/// aligned with the pre-join and post-join stages (`None` = run that
+/// stage generically), plus the fused aggregate fold when the terminal
+/// qualifies. Built once per execution by [`specialize`] and shared
+/// read-only across morsel workers.
 pub(super) struct KernelPlan {
     pre_preds: Vec<Option<PredTree>>,
     stage_preds: Vec<Option<PredTree>>,
@@ -1431,124 +1406,6 @@ fn fused_agg_shape(vp: &VecPipeline) -> Option<FusedAgg> {
         }
     }
     Some(FusedAgg { cols })
-}
-
-/// Shape fingerprint of a compiled pipeline over one dataset, the
-/// [`KernelCache`](super::kernel::KernelCache) key. Covers the static
-/// shape — dataset, scan columns, op sequence of every program, stage and
-/// terminal structure; lane types and the all-valid profile are dispatched
-/// dynamically per batch, so they do not split cache entries.
-pub(super) fn fingerprint(dataset: &str, vp: &VecPipeline) -> u64 {
-    use std::hash::{Hash, Hasher};
-    let mut h = std::collections::hash_map::DefaultHasher::new();
-    dataset.hash(&mut h);
-    vp.scan_fields.hash(&mut h);
-    let hash_prog = |p: &ExprProgram, h: &mut std::collections::hash_map::DefaultHasher| {
-        format!("{:?}", p).hash(h);
-    };
-    let hash_stages = |stages: &[VecStage], h: &mut std::collections::hash_map::DefaultHasher| {
-        for s in stages {
-            match s {
-                VecStage::Filter(p) => {
-                    0u8.hash(h);
-                    hash_prog(p, h);
-                }
-                VecStage::Project(ps) => {
-                    1u8.hash(h);
-                    for p in ps {
-                        hash_prog(p, h);
-                    }
-                }
-                VecStage::Fused { pred, progs } => {
-                    2u8.hash(h);
-                    hash_prog(pred, h);
-                    for p in progs {
-                        hash_prog(p, h);
-                    }
-                }
-            }
-        }
-    };
-    hash_stages(&vp.pre_stages, &mut h);
-    vp.join.is_some().hash(&mut h);
-    if let Some(j) = &vp.join {
-        hash_prog(&j.key, &mut h);
-        format!("{:?}", j.cols).hash(&mut h);
-        j.left.hash(&mut h);
-        j.merged.hash(&mut h);
-    }
-    hash_stages(&vp.stages, &mut h);
-    match &vp.terminal {
-        VecTerminal::Collect(_) => 0u8.hash(&mut h),
-        VecTerminal::Sort { keys, .. } => {
-            1u8.hash(&mut h);
-            for (p, desc) in keys {
-                hash_prog(p, &mut h);
-                desc.hash(&mut h);
-            }
-        }
-        VecTerminal::Agg { keys, args } => {
-            2u8.hash(&mut h);
-            for p in keys {
-                hash_prog(p, &mut h);
-            }
-            for p in args {
-                p.is_some().hash(&mut h);
-                if let Some(p) = p {
-                    hash_prog(p, &mut h);
-                }
-            }
-        }
-    }
-    h.finish()
-}
-
-/// Build a scan→filter→scalar-aggregate pipeline for promotion-policy
-/// tests in sibling modules (VecPipeline's fields are module-private).
-/// `specializable` toggles between a fusable shape (`COUNT(*)` behind a
-/// column predicate) and one `specialize` declines (an expression
-/// argument, no filter).
-#[cfg(test)]
-pub(super) fn test_pipeline(specializable: bool) -> VecPipeline {
-    use crate::ast::BinOp;
-    let mut c = Compiler::scan();
-    if specializable {
-        let pred = c
-            .compile_expr(&Scalar::Bin(
-                BinOp::Lt,
-                Box::new(Scalar::Field("a".into())),
-                Box::new(Scalar::Lit(Value::Int(3))),
-            ))
-            .expect("pred compiles");
-        VecPipeline {
-            scan_fields: c.scan_fields.clone(),
-            pre_stages: Vec::new(),
-            join: None,
-            stages: vec![VecStage::Filter(pred)],
-            terminal: VecTerminal::Agg {
-                keys: Vec::new(),
-                args: vec![None],
-            },
-        }
-    } else {
-        let arg = c
-            .compile_expr(&Scalar::Bin(
-                BinOp::Add,
-                Box::new(Scalar::Field("a".into())),
-                Box::new(Scalar::Lit(Value::Int(1))),
-            ))
-            .expect("arg compiles");
-        VecPipeline {
-            scan_fields: c.scan_fields.clone(),
-            pre_stages: Vec::new(),
-            join: None,
-            stages: Vec::new(),
-            terminal: VecTerminal::Agg {
-                keys: Vec::new(),
-                args: vec![Some(arg)],
-            },
-        }
-    }
 }
 
 /// Fold the surviving selection straight into the sink's accumulators
@@ -1657,7 +1514,7 @@ enum DirectLeaf {
 
 /// Precompiled record-direct filter program: the AND-flattened predicate
 /// leaves of every fused stage, split into the compact numeric-compare
-/// tier and the general tier. Built once per promoted pipeline so the
+/// tier and the general tier. Built once per execution so the
 /// per-row check is a flat loop — no per-row tree recursion, no
 /// per-batch re-walk of the trees. Evaluating `fast` before `rest`
 /// reorders the conjunction, which is sound because every leaf is total
@@ -2049,36 +1906,6 @@ fn apply_filter(
     derived: &mut Option<Vec<Vec<Value>>>,
     tracker: &mut ErrTracker,
 ) {
-    // Single-comparison filters over physical columns keep the whole
-    // filter inside one typed loop over the selection vector.
-    if derived.is_none() && tracker.is_empty() {
-        if let [Instr::Bin(op, a, b)] = prog.instrs.as_slice() {
-            if prog.result == Src::Reg(0) && is_cmp(*op) {
-                let handled = match (*a, *b) {
-                    (Src::Col(c), Src::Lit(l)) => filter_cmp(
-                        *op,
-                        batch.column(c),
-                        &prog.lits[l],
-                        sel,
-                        false,
-                        batch.all_valid(c),
-                    ),
-                    (Src::Lit(l), Src::Col(c)) => filter_cmp(
-                        *op,
-                        batch.column(c),
-                        &prog.lits[l],
-                        sel,
-                        true,
-                        batch.all_valid(c),
-                    ),
-                    _ => false,
-                };
-                if handled {
-                    return;
-                }
-            }
-        }
-    }
     let vals = run_program(prog, batch, sel, derived.as_deref(), 0, tracker);
     let keep: Vec<bool> = sel
         .iter()
@@ -2091,247 +1918,6 @@ fn apply_filter(
             retain_mask(col, &keep);
         }
     }
-}
-
-/// In-place selection-vector filter for `col <op> lit` — true when the
-/// column/literal pair had a typed fast path. The surviving lanes are
-/// compacted branch-free: every slot is written unconditionally and the
-/// write index advances by the comparison result, so the loop body has no
-/// data-dependent branches for the optimizer to trip on.
-fn filter_cmp(
-    op: BinOp,
-    col: &Column,
-    lit: &Value,
-    sel: &mut Vec<u32>,
-    lit_is_lhs: bool,
-    all_valid: bool,
-) -> bool {
-    // Branch-free selection compaction over one per-lane keep closure;
-    // the all-valid variant never touches the presence tags.
-    fn compact(sel: &mut Vec<u32>, mut keep: impl FnMut(usize) -> bool) {
-        let mut w = 0usize;
-        for i in 0..sel.len() {
-            let lane = sel[i];
-            sel[w] = lane;
-            w += keep(lane as usize) as usize;
-        }
-        sel.truncate(w);
-    }
-    match (col, lit) {
-        (Column::Int { data, tags }, Value::Int(x)) => {
-            let cmp = |li: usize| {
-                if lit_is_lhs {
-                    int_cmp(op, *x, data[li])
-                } else {
-                    int_cmp(op, data[li], *x)
-                }
-            };
-            if all_valid {
-                compact(sel, cmp);
-            } else {
-                compact(sel, |li| (tags[li] == Presence::Present) & cmp(li));
-            }
-            true
-        }
-        // Float comparisons (double column vs numeric literal, int column
-        // vs double literal): IEEE operators are exactly the `is_true`
-        // mask — NaN fails every ordering and `Eq`, passes `Ne`, matching
-        // `sql_compare`'s incomparable arm for filtering purposes.
-        (Column::Double { data, tags }, _) if lit_f64(lit).is_some() => {
-            let Some(x) = lit_f64(lit) else { return false };
-            let cmp = |li: usize| {
-                if lit_is_lhs {
-                    f64_cmp_mask(op, x, data[li])
-                } else {
-                    f64_cmp_mask(op, data[li], x)
-                }
-            };
-            if all_valid {
-                compact(sel, cmp);
-            } else {
-                compact(sel, |li| (tags[li] == Presence::Present) & cmp(li));
-            }
-            true
-        }
-        (Column::Int { data, tags }, Value::Double(x)) => {
-            let cmp = |li: usize| {
-                if lit_is_lhs {
-                    f64_cmp_mask(op, *x, data[li] as f64)
-                } else {
-                    f64_cmp_mask(op, data[li] as f64, *x)
-                }
-            };
-            if all_valid {
-                compact(sel, cmp);
-            } else {
-                compact(sel, |li| (tags[li] == Presence::Present) & cmp(li));
-            }
-            true
-        }
-        (Column::Str { codes, dict, tags }, lit) => {
-            // One comparison per distinct dictionary value, then a
-            // branch-free code-indexed sweep.
-            let pass: Vec<bool> = dict
-                .iter()
-                .map(|d| {
-                    let r = if lit_is_lhs {
-                        eval_binop(op, lit, d)
-                    } else {
-                        eval_binop(op, d, lit)
-                    };
-                    matches!(r, Ok(ref v) if truthy(v).is_true())
-                })
-                .collect();
-            if all_valid {
-                compact(sel, |li| pass[codes[li] as usize]);
-            } else {
-                compact(sel, |li| {
-                    tags[li] == Presence::Present && pass[codes[li] as usize]
-                });
-            }
-            true
-        }
-        _ => false,
-    }
-}
-
-/// Fused filter+project: run the filter and the projection with the exact
-/// stage semantics (the typed one-pass loop when possible, the composed
-/// general path otherwise).
-fn run_fused(
-    pred: &ExprProgram,
-    progs: &[ExprProgram],
-    batch: &ColumnBatch,
-    sel: &mut Vec<u32>,
-    derived: &mut Option<Vec<Vec<Value>>>,
-    tracker: &mut ErrTracker,
-) {
-    if derived.is_none() && tracker.is_empty() {
-        if let Some(cols) = fused_fast(pred, progs, batch, sel) {
-            *derived = Some(cols);
-            return;
-        }
-    }
-    apply_filter(pred, batch, sel, derived, tracker);
-    let cols: Vec<Vec<Value>> = progs
-        .iter()
-        .map(|p| run_program(p, batch, sel, derived.as_deref(), 0, tracker))
-        .collect();
-    *derived = Some(cols);
-    compact_poisoned(sel, derived, tracker);
-}
-
-/// One-pass select-and-gather for a single-comparison filter feeding a
-/// plain column/literal projection: the selection is compacted branch-free
-/// and the projected values are gathered in the same sweep, with no
-/// intermediate selection vector between the two stages. `None` when the
-/// shapes don't fit (the caller composes the general stages instead).
-fn fused_fast(
-    pred: &ExprProgram,
-    progs: &[ExprProgram],
-    batch: &ColumnBatch,
-    sel: &mut Vec<u32>,
-) -> Option<Vec<Vec<Value>>> {
-    let [Instr::Bin(op, a, b)] = pred.instrs.as_slice() else {
-        return None;
-    };
-    if pred.result != Src::Reg(0) || !is_cmp(*op) {
-        return None;
-    }
-    let (col, lit, lit_is_lhs) = match (*a, *b) {
-        (Src::Col(c), Src::Lit(l)) => (c, &pred.lits[l], false),
-        (Src::Lit(l), Src::Col(c)) => (c, &pred.lits[l], true),
-        _ => return None,
-    };
-    // Every projected column must be a plain gather: a scan column or a
-    // literal, no instructions (instructions can error, which would need
-    // the poison machinery).
-    for p in progs {
-        if !p.instrs.is_empty() || matches!(p.result, Src::Reg(_)) {
-            return None;
-        }
-    }
-    enum Pred<'a> {
-        Int {
-            data: &'a [i64],
-            tags: &'a [Presence],
-            x: i64,
-        },
-        Float {
-            data: &'a [f64],
-            tags: &'a [Presence],
-            x: f64,
-        },
-        Dict {
-            codes: &'a [u32],
-            tags: &'a [Presence],
-            pass: Vec<bool>,
-        },
-    }
-    let all_valid = batch.all_valid(col);
-    let pred_k = match (batch.column(col), lit) {
-        (Column::Int { data, tags }, Value::Int(x)) => Pred::Int { data, tags, x: *x },
-        (Column::Double { data, tags }, lit) if lit_f64(lit).is_some() => Pred::Float {
-            data,
-            tags,
-            x: lit_f64(lit)?,
-        },
-        (Column::Str { codes, dict, tags }, lit) => {
-            let pass: Vec<bool> = dict
-                .iter()
-                .map(|d| {
-                    let r = if lit_is_lhs {
-                        eval_binop(*op, lit, d)
-                    } else {
-                        eval_binop(*op, d, lit)
-                    };
-                    matches!(r, Ok(ref v) if truthy(v).is_true())
-                })
-                .collect();
-            Pred::Dict { codes, tags, pass }
-        }
-        _ => return None,
-    };
-    let mut cols: Vec<Vec<Value>> = vec![Vec::new(); progs.len()];
-    let mut w = 0usize;
-    for i in 0..sel.len() {
-        let lane = sel[i];
-        let li = lane as usize;
-        let keep = match &pred_k {
-            Pred::Int { data, tags, x } => {
-                (all_valid || tags[li] == Presence::Present)
-                    & if lit_is_lhs {
-                        int_cmp(*op, *x, data[li])
-                    } else {
-                        int_cmp(*op, data[li], *x)
-                    }
-            }
-            Pred::Float { data, tags, x } => {
-                (all_valid || tags[li] == Presence::Present)
-                    & if lit_is_lhs {
-                        f64_cmp_mask(*op, *x, data[li])
-                    } else {
-                        f64_cmp_mask(*op, data[li], *x)
-                    }
-            }
-            Pred::Dict { codes, tags, pass } => {
-                (all_valid || tags[li] == Presence::Present) && pass[codes[li] as usize]
-            }
-        };
-        sel[w] = lane;
-        if keep {
-            for (ci, p) in progs.iter().enumerate() {
-                cols[ci].push(match p.result {
-                    Src::Col(c) => batch.column(c).value_at(li).into_owned(),
-                    Src::Lit(l) => p.lits[l].clone(),
-                    Src::Reg(_) => unreachable!("trivial programs only"),
-                });
-            }
-        }
-        w += keep as usize;
-    }
-    sel.truncate(w);
-    Some(cols)
 }
 
 // ---------------------------------------------------------------------------
@@ -2705,11 +2291,10 @@ fn run_stage(
             *derived = Some(cols);
             compact_poisoned(sel, derived, tracker);
         }
-        VecStage::Fused { pred, progs } => run_fused(pred, progs, batch, sel, derived, tracker),
     }
 }
 
-/// Run one stage chain with its aligned promoted predicate trees: a stage
+/// Run one stage chain with its aligned predicate trees: a stage
 /// whose tree applies (and whose batch state is clean) collapses to one
 /// fused selection-mask pass; everything else runs the generic stage.
 /// Returns `false` when the batch is exhausted (empty selection, no
@@ -2750,9 +2335,8 @@ fn run_stages(
 }
 
 /// Run one batch of records through the pipeline into the morsel sink.
-/// `spec` is the promoted kernel plan, when this query's program is hot
-/// enough to have one; `stats` accumulates per-batch dictionary
-/// observability counters.
+/// `spec` is the pipeline's specialized form, when it has one; `stats`
+/// accumulates per-batch dictionary observability counters.
 fn process_batch(
     vp: &VecPipeline,
     rt: Option<&JoinRuntime<'_>>,
@@ -2823,7 +2407,7 @@ fn process_batch(
                         return Err(e);
                     }
                     for row in rows {
-                        sink.push(row)?;
+                        sink.push(row);
                     }
                 }
                 Some(_) => {
@@ -2843,7 +2427,7 @@ fn process_batch(
                             break;
                         }
                         match event {
-                            Ok(row) => sink.push(row)?,
+                            Ok(row) => sink.push(row),
                             Err(e) => {
                                 sink.record_err(e);
                                 break;
@@ -3371,9 +2955,6 @@ mod tests {
         assert!(plan.stage_preds[0].is_some());
         let agg = plan.agg.as_ref().expect("fused agg");
         assert_eq!(agg.cols, vec![None, Some(1)]);
-        // Fingerprints are stable for one shape and differ across shapes.
-        assert_eq!(fingerprint("t", &vp), fingerprint("t", &vp));
-        assert_ne!(fingerprint("t", &vp), fingerprint("u", &vp));
         // An expression argument (instructions) blocks the fused fold.
         let mut c2 = Compiler::scan();
         let expr_arg = c2
@@ -3462,71 +3043,6 @@ mod tests {
         let p = c.compile_expr(&field("l")).unwrap();
         assert_eq!(p.result, Src::Col(1));
         assert_eq!(c.join_cols.len(), 5);
-    }
-
-    #[test]
-    fn filter_fast_path_matches_generic() {
-        let recs = rows();
-        let refs: Vec<&Record> = recs.iter().collect();
-        for expr in [
-            bin(BinOp::Lt, field("a"), lit(3i64)),
-            bin(BinOp::Gt, lit(3i64), field("a")),
-            bin(BinOp::Eq, field("s"), lit("x")),
-            bin(BinOp::Ne, field("s"), lit(1i64)),
-        ] {
-            let mut c = Compiler::scan();
-            let prog = c.compile_expr(&expr).unwrap();
-            let batch = ColumnBatch::from_records(&refs, &c.scan_fields);
-            let mut fast: Vec<u32> = (0..refs.len() as u32).collect();
-            let mut tracker = ErrTracker::default();
-            apply_filter(&prog, &batch, &mut fast, &mut None, &mut tracker);
-            // Reference: generic truthiness over the program output.
-            let sel: Vec<u32> = (0..refs.len() as u32).collect();
-            let mut t2 = ErrTracker::default();
-            let vals = run_program(&prog, &batch, &sel, None, 0, &mut t2);
-            let slow: Vec<u32> = sel
-                .iter()
-                .zip(&vals)
-                .filter(|(_, v)| truthy(v).is_true())
-                .map(|(&l, _)| l)
-                .collect();
-            assert_eq!(fast, slow, "filter divergence for {expr:?}");
-        }
-    }
-
-    #[test]
-    fn fused_fast_matches_composed_stages() {
-        let recs = rows();
-        let refs: Vec<&Record> = recs.iter().collect();
-        for pred_expr in [
-            bin(BinOp::Lt, field("a"), lit(3i64)),
-            bin(BinOp::Eq, field("s"), lit("x")),
-        ] {
-            let mut c = Compiler::scan();
-            let pred = c.compile_expr(&pred_expr).unwrap();
-            let progs = vec![
-                c.compile_expr(&field("a")).unwrap(),
-                c.compile_expr(&field("s")).unwrap(),
-                c.compile_expr(&lit(7i64)).unwrap(),
-            ];
-            let batch = ColumnBatch::from_records(&refs, &c.scan_fields);
-            // Fast path.
-            let mut fast_sel: Vec<u32> = (0..refs.len() as u32).collect();
-            let fast_cols =
-                fused_fast(&pred, &progs, &batch, &mut fast_sel).expect("fast path applies");
-            // General composition: filter then project.
-            let mut sel: Vec<u32> = (0..refs.len() as u32).collect();
-            let mut derived = None;
-            let mut tracker = ErrTracker::default();
-            apply_filter(&pred, &batch, &mut sel, &mut derived, &mut tracker);
-            let slow_cols: Vec<Vec<Value>> = progs
-                .iter()
-                .map(|p| run_program(p, &batch, &sel, None, 0, &mut tracker))
-                .collect();
-            assert!(tracker.is_empty());
-            assert_eq!(fast_sel, sel, "selection divergence for {pred_expr:?}");
-            assert_eq!(fast_cols, slow_cols, "column divergence for {pred_expr:?}");
-        }
     }
 
     #[test]

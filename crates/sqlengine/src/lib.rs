@@ -40,9 +40,6 @@ pub use catalog::Database;
 pub use dialect::Dialect;
 pub use engine::{Engine, EngineConfig};
 pub use error::{EngineError, Result};
-pub use exec::{
-    available_threads, batch_rows_override, default_batch_rows, ExecOptions, ExecReport,
-    DEFAULT_BATCH_ROWS, MAX_BATCH_ROWS,
-};
+pub use exec::{available_threads, ExecOptions, ExecReport, DEFAULT_BATCH_ROWS, MAX_BATCH_ROWS};
 pub use personality::Personality;
 pub use plan::cache::PlanCache;

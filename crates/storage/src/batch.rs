@@ -24,8 +24,8 @@ use polyframe_datamodel::{Record, Value};
 use std::borrow::Cow;
 use std::collections::HashMap;
 
-/// Default number of rows per batch (overridable per engine; see
-/// `POLYFRAME_BATCH_SIZE` in the sqlengine crate).
+/// Default number of rows per batch (overridable per engine through
+/// `ExecOptions::batch_rows` in the sqlengine crate).
 pub const DEFAULT_BATCH_ROWS: usize = 1024;
 
 /// Hard ceiling on configured batch sizes: larger batches stop helping and

@@ -224,9 +224,9 @@ fn aggregates_agree_across_backends() {
 /// Execution configurations every sqlengine-backed language must keep
 /// byte-identical: the row-at-a-time reference, the generic vectorized
 /// interpreter (kernel specialization forced off), the default vectorized
-/// path (specialized kernels once promoted; small batches so every query
-/// spans several), and the morsel-parallel path with vectorized workers
-/// (small morsels so even these datasets split).
+/// path (specialized kernels wherever the pipeline has them; small batches
+/// so every query spans several), and the morsel-parallel path with
+/// vectorized workers (small morsels so even these datasets split).
 fn exec_configs() -> [(&'static str, ExecOptions); 4] {
     [
         ("rowwise", ExecOptions::rowwise()),
@@ -354,14 +354,18 @@ fn gen_portable_pred(rng: &mut Rng, depth: usize) -> Pred {
 
 /// One random action over a masked frame; `shape` picks among plain
 /// collect, a projection (NaN doubles and the mixed-type string column
-/// flow through the columnar emit), an ORDER BY with heavy ties, and a
-/// grouped aggregate (exercising batch-side key/argument programs).
+/// flow through the columnar emit), an ORDER BY with heavy ties, a
+/// grouped aggregate (exercising batch-side key/argument programs), and
+/// the filter→projection pair `df[pred][['a','d']]` — collected whole and
+/// under an early-exit `head(n)` — whose filter stage is a predicate tree.
 fn run_action(af: &AFrame, pred: &Pred, shape: usize, ascending: bool) -> String {
     let masked = af.mask(&pred.to_expr()).unwrap();
     let rs = match shape {
         0 => masked.collect(),
         1 => masked.select(&["b", "d", "e"]).unwrap().collect(),
         2 => masked.sort_values("b", ascending).unwrap().collect(),
+        3 => masked.select(&["a", "d"]).unwrap().collect(),
+        4 => masked.select(&["a", "d"]).unwrap().head(7),
         _ => masked
             .groupby("g")
             .agg(polyframe::AggFunc::Count)
@@ -384,7 +388,7 @@ fn exec_paths_byte_identical_on_random_queries() {
     for case in 0..CASES {
         let records = gen_messy_records(&mut rng);
         let pred = gen_messy_pred(&mut rng, 2);
-        let shape = rng.gen_range_usize(4);
+        let shape = rng.gen_range_usize(6);
         let ascending = rng.gen_bool();
 
         type ConfigFn = fn() -> EngineConfig;
@@ -602,23 +606,17 @@ fn join_pipelines_byte_identical_across_exec_paths() {
                     with_index,
                 );
                 let joined = lf.mask(&col("b").lt(cmp)).unwrap().merge(&rf, "k").unwrap();
-                // Twice per engine: the second execution of the same
-                // pipeline runs whatever the promotion policy specialized
-                // (post-join filter kernels included) and must not change
-                // a byte.
-                for _ in 0..2 {
-                    let rs = match shape {
-                        0 => joined.collect(),
-                        1 => joined.head(limit),
-                        _ => joined
-                            .groupby("g")
-                            .agg(polyframe::AggFunc::Count)
-                            .unwrap()
-                            .collect(),
-                    }
-                    .unwrap();
-                    outputs.push((mode, format!("{:?}", rs.rows())));
+                let rs = match shape {
+                    0 => joined.collect(),
+                    1 => joined.head(limit),
+                    _ => joined
+                        .groupby("g")
+                        .agg(polyframe::AggFunc::Count)
+                        .unwrap()
+                        .collect(),
                 }
+                .unwrap();
+                outputs.push((mode, format!("{:?}", rs.rows())));
             }
             let (ref_mode, reference) = &outputs[0];
             assert_eq!(*ref_mode, "rowwise");
@@ -747,7 +745,7 @@ fn distinct_and_left_join_exec_paths_byte_identical() {
 }
 
 // ---------------------------------------------------------------------------
-// Kernel specialization: promotion and the specialized/generic contract
+// Kernel specialization: the specialized/generic contract
 // ---------------------------------------------------------------------------
 
 /// Random `WHERE` clause over the messy columns, straight SQL: comparison
@@ -809,12 +807,13 @@ fn fresh_engine(config: EngineConfig, records: &[Record]) -> Engine {
     engine
 }
 
-/// The adaptive-promotion contract, swept randomly: a repeated query runs
-/// generic while warming up and specialized from its second execution on,
-/// and promotion mid-stream must never change a byte — on NULL/MISSING/
-/// NaN-heavy data, for both SQL dialects, serial and parallel.
+/// Repeated executions on one engine — three serial, two morsel-parallel
+/// — return the rowwise reference's bytes every time, as does the generic
+/// interpreter: on NULL/MISSING/NaN-heavy data, for both SQL dialects, over
+/// the scan→filter→scalar-aggregate shapes the record-direct kernel claims
+/// interleaved with shapes it must decline.
 #[test]
-fn kernel_promotion_mid_stream_is_byte_identical() {
+fn repeated_runs_are_byte_identical() {
     let mut rng = Rng::seed_from_u64(0x57EC);
     for case in 0..CASES {
         let records = gen_messy_records(&mut rng);
@@ -827,96 +826,64 @@ fn kernel_promotion_mid_stream_is_byte_identical() {
             ("sql++", EngineConfig::asterixdb as ConfigFn),
             ("sql", EngineConfig::postgres as ConfigFn),
         ] {
+            let [(_, rowwise), (_, generic), (_, serial), (_, parallel)] = exec_configs();
             let reference = {
-                let e = fresh_engine(config().with_exec(ExecOptions::rowwise()), &records);
+                let e = fresh_engine(config().with_exec(rowwise), &records);
                 format!("{:?}", e.query(&sql).unwrap())
             };
-            let generic = {
-                let e = fresh_engine(
-                    config().with_exec(ExecOptions {
-                        workers: 1,
-                        batch_rows: 32,
-                        specialize: false,
-                        ..ExecOptions::default()
-                    }),
-                    &records,
-                );
-                format!("{:?}", e.query(&sql).unwrap())
-            };
-            assert_eq!(
-                generic, reference,
-                "case {case}: {lang} generic vectorized diverged: {sql}"
-            );
-            // One engine, three executions: run 1 is the generic warm-up,
-            // runs 2-3 hit whatever the promotion policy specialized.
-            let hot = fresh_engine(
-                config().with_exec(ExecOptions {
-                    workers: 1,
-                    batch_rows: 32,
-                    ..ExecOptions::default()
-                }),
-                &records,
-            );
-            for run in 1..=3 {
-                let out = format!("{:?}", hot.query(&sql).unwrap());
-                assert_eq!(
-                    out, reference,
-                    "case {case}: {lang} run {run} diverged across promotion: {sql}"
-                );
-            }
-            // Same contract under morsel parallelism (workers share the
-            // promoted plan).
-            let par = fresh_engine(
-                config().with_exec(ExecOptions {
-                    workers: 4,
-                    morsel_rows: 48,
-                    batch_rows: 16,
-                    ..ExecOptions::default()
-                }),
-                &records,
-            );
-            for run in 1..=2 {
-                let out = format!("{:?}", par.query(&sql).unwrap());
-                assert_eq!(
-                    out, reference,
-                    "case {case}: {lang} parallel run {run} diverged: {sql}"
-                );
+            for (mode, exec, runs) in [
+                ("vectorized-generic", generic, 1),
+                ("vectorized", serial, 3),
+                ("parallel", parallel, 2),
+            ] {
+                let e = fresh_engine(config().with_exec(exec), &records);
+                for run in 1..=runs {
+                    let out = format!("{:?}", e.query(&sql).unwrap());
+                    assert_eq!(
+                        out, reference,
+                        "case {case}: {lang} {mode} run {run} diverged: {sql}"
+                    );
+                }
             }
         }
     }
 }
 
-/// Promotion is observable exactly where the design says: the first
-/// execution of a fresh query traces `kernel=generic`, the second traces
-/// `kernel=specialized` with a positive `kernel_promotions` count — and
-/// both return identical bytes.
+/// Specialization is a function of the compiled pipeline alone: on a fresh
+/// engine the *first* execution of a fusable shape already traces
+/// `kernel=specialized` — the fused filter→scalar-aggregate, and the
+/// filter→projection pair `df[df.b < 9][['a','d']]`, whose filter stage
+/// is a predicate tree.
 #[test]
-fn promotion_lands_on_second_execution_and_is_traced() {
+fn first_execution_of_a_fusable_shape_is_specialized() {
     let mut rng = Rng::seed_from_u64(0xB0057);
     let records = gen_messy_records(&mut rng);
+    let [_, _, (_, serial), _] = exec_configs();
     let sql = "SELECT COUNT(*) AS c, SUM(b) AS s, MIN(d) AS n, MAX(a) AS x \
                FROM (SELECT * FROM T.d) t WHERE t.b < 9 AND t.a > -4";
     for config in [EngineConfig::postgres(), EngineConfig::asterixdb()] {
-        let engine = fresh_engine(
-            config.with_exec(ExecOptions {
-                workers: 1,
-                batch_rows: 32,
-                ..ExecOptions::default()
-            }),
-            &records,
-        );
-        let (rows1, span1) = engine.query_traced(sql).unwrap();
-        let exec1 = span1.find("exec").unwrap();
-        assert_eq!(exec1.note("vectorized"), Some("true"));
-        assert_eq!(exec1.note("kernel"), Some("generic"), "warm-up run");
-        let (rows2, span2) = engine.query_traced(sql).unwrap();
-        let exec2 = span2.find("exec").unwrap();
-        assert_eq!(
-            exec2.note("kernel"),
-            Some("specialized"),
-            "second execution must run promoted kernels"
-        );
-        assert!(exec2.metric("kernel_promotions").unwrap() >= 1);
-        assert_eq!(format!("{rows1:?}"), format!("{rows2:?}"));
+        let sqlpp = config.dialect == polyframe_sqlengine::Dialect::SqlPlusPlus;
+        let engine = Arc::new(fresh_engine(config.with_exec(serial.clone()), &records));
+        let (_, span) = engine.query_traced(sql).unwrap();
+        let exec = span.find("exec").unwrap();
+        assert_eq!(exec.note("vectorized"), Some("true"));
+        assert_eq!(exec.note("kernel"), Some("specialized"));
+
+        let conn: Arc<dyn DatabaseConnector> = if sqlpp {
+            Arc::new(AsterixConnector::new(engine))
+        } else {
+            Arc::new(PostgresConnector::new(engine))
+        };
+        let projected = AFrame::new("T", "d", conn)
+            .unwrap()
+            .mask(&col("b").lt(9))
+            .unwrap()
+            .select(&["a", "d"])
+            .unwrap();
+        projected.collect().unwrap();
+        let trace = projected.last_trace().unwrap();
+        let exec = trace.span("exec").unwrap();
+        assert_eq!(exec.note("vectorized"), Some("true"));
+        assert_eq!(exec.note("kernel"), Some("specialized"));
     }
 }
