@@ -471,6 +471,19 @@ fn executor_tier_per_benchmark_operation() {
                 ("true".to_string(), Some("generic".to_string()))
             };
             assert_eq!(tier(&frame), want, "{name} {op}: {}", frame.query());
+            if op == "e09" && name != "sql" {
+                // The bounded top-k builds only the rows its heaps admit:
+                // a count, not a timing.
+                let trace = frame.last_trace().expect("the action records a trace");
+                let admitted = trace
+                    .span("exec")
+                    .and_then(|exec| exec.metric("topk_rows"))
+                    .expect("a batch top-k reports topk_rows");
+                assert!(
+                    admitted as usize <= ROWS / 20,
+                    "{name} e09 admitted {admitted} of {ROWS} rows into top-k heaps"
+                );
+            }
         }
         let counts = df.value_counts("ten").unwrap();
         counts.collect().unwrap();

@@ -16,16 +16,22 @@
 //! * a hand-written JSON parser ([`parse_json`], [`parse_json_stream`]) and
 //!   printer so that `Missing`/`Null` round-tripping stays under our control,
 //! * total ordering ([`cmp_total`]) and comparison semantics shared by index
-//!   keys and `ORDER BY` implementations.
+//!   keys and `ORDER BY` implementations,
+//! * the one sort kernel every store runs `ORDER BY` through ([`TopK`]: a
+//!   bounded top-k heap, or a stable sort when no limit exists, plus
+//!   [`merge_sorted`] for sorted parts).
 
 pub mod compare;
 pub mod error;
 pub mod json;
 pub mod record;
+#[deny(clippy::unwrap_used)]
+pub mod topk;
 pub mod value;
 
 pub use compare::{cmp_total, sql_compare, sql_eq, TriBool};
 pub use error::{DataModelError, Result};
 pub use json::{parse_json, parse_json_stream, to_json_pretty, to_json_string};
 pub use record::Record;
+pub use topk::{merge_sorted, SortKey, TopK};
 pub use value::Value;

@@ -9,12 +9,11 @@
 //! runs.
 
 use crate::error::{DocError, Result};
-use crate::pipeline::exec::{apply_stage, DocIter, GroupAcc, OrdKey};
+use crate::pipeline::exec::{apply_stages, sort_docs, DocIter, GroupAcc, OrdKey};
 use crate::pipeline::expr::{self, Vars};
 use crate::pipeline::{Accum, GroupId, Stage};
-use polyframe_datamodel::{cmp_total, Record, Value};
+use polyframe_datamodel::{Record, Value};
 use polyframe_storage::Table;
-use std::cmp::Ordering;
 use std::collections::{BTreeMap, HashMap};
 
 /// A distributed execution strategy for one pipeline.
@@ -49,8 +48,8 @@ pub enum MongoDistributed {
         /// Stages applied after the merged `$group` output.
         post: Vec<Stage>,
     },
-    /// Shards sort + truncate locally; the coordinator merge-sorts,
-    /// truncates and applies the remaining stages.
+    /// Shards run a bounded top-k locally; the coordinator re-runs it
+    /// over their rows and applies the remaining stages.
     TopK {
         /// Stages executed on each shard (prefix + sort + limit).
         shard_stages: Vec<Stage>,
@@ -207,38 +206,23 @@ pub fn merge_counts(parts: Vec<Vec<Value>>, name: &str) -> Vec<Value> {
     }
 }
 
-/// Coordinator-side merge for [`MongoDistributed::TopK`].
+/// Coordinator-side merge for [`MongoDistributed::TopK`]: the shards'
+/// rows through the top-k kernel, ties in shard order.
 pub fn merge_topk(
     parts: Vec<Vec<Value>>,
     sort: &[(String, bool)],
     limit: Option<u64>,
 ) -> Vec<Value> {
-    let mut rows: Vec<Value> = parts.into_iter().flatten().collect();
-    rows.sort_by(|a, b| {
-        for (field, desc) in sort {
-            let ord = cmp_total(&a.get_path(field), &b.get_path(field));
-            let ord = if *desc { ord.reverse() } else { ord };
-            if ord != Ordering::Equal {
-                return ord;
-            }
-        }
-        Ordering::Equal
-    });
-    if let Some(n) = limit {
-        rows.truncate(n as usize);
-    }
-    rows
+    sort_docs(parts.into_iter().flatten(), sort, limit)
 }
 
 /// Apply post-merge stages to materialized rows on the coordinator.
 pub fn apply_stages_to_rows(rows: Vec<Value>, stages: &[Stage]) -> Result<Vec<Value>> {
     let empty: HashMap<String, Table> = HashMap::new();
     let vars = Vars::new();
-    let mut stream: DocIter<'_> = Box::new(rows.into_iter().map(Ok));
-    for stage in stages {
-        stream = apply_stage(&empty, stream, stage, &vars)?;
-    }
-    stream.collect()
+    let stream: DocIter<'_> = Box::new(rows.into_iter().map(Ok));
+    let rows = apply_stages(&empty, stream, stages, &vars)?.collect();
+    rows
 }
 
 /// Evaluate an accumulator's argument expression against a document.

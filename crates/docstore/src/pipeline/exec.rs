@@ -6,9 +6,9 @@
 
 use crate::error::{DocError, Result};
 use crate::pipeline::expr::{self, truthy, CmpOp, MongoExpr, Vars};
-use crate::pipeline::optimizer::{PhysicalPipeline, Source};
+use crate::pipeline::optimizer::{find_downstream_limit, PhysicalPipeline, Source};
 use crate::pipeline::{Accum, GroupId, ProjectItem, Stage};
-use polyframe_datamodel::{cmp_total, Record, Value};
+use polyframe_datamodel::{cmp_total, Record, SortKey, TopK, Value};
 use polyframe_storage::{Direction, ScanRange, Table};
 use std::cmp::Ordering;
 use std::collections::{BTreeMap, HashMap};
@@ -27,11 +27,49 @@ pub fn run_pipeline<'b>(
     let table = collections
         .get(collection)
         .ok_or_else(|| DocError::UnknownCollection(collection.to_string()))?;
-    let mut stream = source_stream(table, &pipeline.source)?;
-    for stage in &pipeline.stages {
-        stream = apply_stage(collections, stream, stage, vars)?;
+    let stream = source_stream(table, &pipeline.source)?;
+    apply_stages(collections, stream, &pipeline.stages, vars)?.collect()
+}
+
+/// Chain `stages` onto `stream`. A `$sort` whose output reaches a
+/// `$limit` through stages that keep documents 1:1 runs as a bounded
+/// top-k: the documents past the limit are never observable downstream.
+pub(crate) fn apply_stages<'b>(
+    collections: &'b HashMap<String, Table>,
+    mut stream: DocIter<'b>,
+    stages: &'b [Stage],
+    vars: &'b Vars,
+) -> Result<DocIter<'b>> {
+    for (i, stage) in stages.iter().enumerate() {
+        stream = match stage {
+            Stage::Sort(keys) => {
+                let docs: Vec<Value> = stream.collect::<Result<_>>()?;
+                let limit = find_downstream_limit(&stages[i + 1..]);
+                Box::new(sort_docs(docs, keys, limit).into_iter().map(Ok))
+            }
+            _ => apply_stage(collections, stream, stage, vars)?,
+        };
     }
-    stream.collect()
+    Ok(stream)
+}
+
+/// Sort documents by `keys` (stable), keeping the first `limit`. Each
+/// document's key paths are extracted once, then the top-k kernel sorts
+/// the decorated documents.
+pub(crate) fn sort_docs(
+    docs: impl IntoIterator<Item = Value>,
+    keys: &[(String, bool)],
+    limit: Option<u64>,
+) -> Vec<Value> {
+    let mut sorted = TopK::new(limit.map(|n| n as usize));
+    for doc in docs {
+        let key: Vec<SortKey> = keys
+            .iter()
+            .map(|(field, desc)| SortKey::new(doc.get_path(field), *desc))
+            .collect();
+        sorted.push(key, doc);
+    }
+    sorted.into_sorted_items()
 }
 
 fn source_stream<'b>(table: &'b Table, source: &'b Source) -> Result<DocIter<'b>> {
@@ -93,7 +131,7 @@ fn source_stream<'b>(table: &'b Table, source: &'b Source) -> Result<DocIter<'b>
     }
 }
 
-pub(crate) fn apply_stage<'b>(
+fn apply_stage<'b>(
     collections: &'b HashMap<String, Table>,
     stream: DocIter<'b>,
     stage: &'b Stage,
@@ -133,21 +171,7 @@ pub(crate) fn apply_stage<'b>(
             let out = run_group(stream, id, accs, vars)?;
             Ok(Box::new(out.into_iter().map(Ok)))
         }
-        Stage::Sort(keys) => {
-            let docs: Result<Vec<Value>> = stream.collect();
-            let mut docs = docs?;
-            docs.sort_by(|a, b| {
-                for (field, desc) in keys {
-                    let ord = cmp_total(&a.get_path(field), &b.get_path(field));
-                    let ord = if *desc { ord.reverse() } else { ord };
-                    if ord != Ordering::Equal {
-                        return ord;
-                    }
-                }
-                Ordering::Equal
-            });
-            Ok(Box::new(docs.into_iter().map(Ok)))
-        }
+        Stage::Sort(_) => unreachable!("`$sort` runs in apply_stages"),
         Stage::Limit(n) => Ok(Box::new(stream.take(*n as usize))),
         Stage::Count(name) => {
             let mut n = 0usize;

@@ -139,7 +139,7 @@ fn normalize(stages: &[Stage]) -> Vec<Stage> {
 }
 
 /// A `$limit` reachable through row-count-preserving stages.
-fn find_downstream_limit(stages: &[Stage]) -> Option<u64> {
+pub(crate) fn find_downstream_limit(stages: &[Stage]) -> Option<u64> {
     for stage in stages {
         match stage {
             Stage::Limit(n) => return Some(*n),

@@ -6,7 +6,7 @@ use crate::cypher::parser::{
 };
 use crate::error::{GraphError, Result};
 use crate::store::{LabelStore, ScanRange};
-use polyframe_datamodel::{cmp_total, sql_compare, Record, TriBool, Value};
+use polyframe_datamodel::{cmp_total, sql_compare, Record, SortKey, TopK, TriBool, Value};
 use polyframe_storage::KeyBound;
 use std::cmp::Ordering;
 use std::collections::{BTreeMap, HashMap};
@@ -503,7 +503,8 @@ pub fn execute(
     for (i, w) in q.withs.iter().enumerate() {
         let strip_where = skip_first_where && i == 0;
         skip_first_where = false;
-        rows = apply_with(rows, w, labels, use_indexes, strip_where)?;
+        let bound = order_by_bound(&q.withs[i + 1..], &q.ret, q.limit);
+        rows = apply_with(rows, w, labels, use_indexes, strip_where, bound)?;
     }
 
     // RETURN.
@@ -535,6 +536,31 @@ pub fn execute(
             collect_limited(iter, q.limit)
         }
     }
+}
+
+/// The row budget of a `WITH … ORDER BY`: the query's `LIMIT` when every
+/// later clause keeps rows 1:1 (no `WHERE`, aggregation or re-sort) and
+/// `RETURN` emits rows rather than counting them.
+fn order_by_bound(later: &[WithClause], ret: &ReturnClause, limit: Option<u64>) -> Option<u64> {
+    let one_to_one = later.iter().all(|w| {
+        w.where_.is_none()
+            && w.order_by.is_none()
+            && match &w.binding {
+                WithBinding::Var(_) | WithBinding::MapProject { .. } => true,
+                WithBinding::MapAs { entries, .. } => !aggregates(entries),
+            }
+    });
+    match ret {
+        ReturnClause::Var(_) | ReturnClause::Expr(..) if one_to_one => limit,
+        _ => None,
+    }
+}
+
+/// Whether a `WITH {…} AS v` map aggregates (and so groups its rows).
+fn aggregates(entries: &[crate::cypher::parser::Entry]) -> bool {
+    entries
+        .iter()
+        .any(|e| matches!(&e.expr, EntryExpr::Expr(x) if x.has_aggregate()))
 }
 
 fn wrap_count(n: i64, _ret: &ReturnClause) -> Value {
@@ -650,6 +676,7 @@ fn apply_with<'a>(
     labels: &'a HashMap<String, LabelStore>,
     use_indexes: bool,
     strip_where: bool,
+    bound: Option<u64>,
 ) -> Result<EnvIter<'a>> {
     let ctx = Ctx {
         labels,
@@ -672,10 +699,7 @@ fn apply_with<'a>(
             }))
         }
         WithBinding::MapAs { entries, alias } => {
-            let has_agg = entries
-                .iter()
-                .any(|e| matches!(&e.expr, EntryExpr::Expr(x) if x.has_aggregate()));
-            if has_agg {
+            if aggregates(entries) {
                 let out = aggregate_map(&ctx, rows, entries, alias)?;
                 Box::new(out.into_iter().map(Ok))
             } else {
@@ -715,20 +739,15 @@ fn apply_with<'a>(
             labels,
             use_indexes,
         };
+        // Every row's key is evaluated (key errors fire in row order);
+        // the top-k kernel keeps `bound` rows when a later LIMIT caps
+        // the output.
         let collected: Result<Vec<Env>> = rows.collect();
-        let mut keyed: Vec<(Value, Env)> = Vec::new();
+        let mut sorted = TopK::new(bound.map(|n| n as usize));
         for env in collected? {
-            keyed.push((ctx2.eval(key, &env)?, env));
+            sorted.push(SortKey::new(ctx2.eval(key, &env)?, *desc), env);
         }
-        keyed.sort_by(|(a, _), (b, _)| {
-            let ord = cmp_total(a, b);
-            if *desc {
-                ord.reverse()
-            } else {
-                ord
-            }
-        });
-        rows = Box::new(keyed.into_iter().map(|(_, env)| Ok(env)));
+        rows = Box::new(sorted.into_sorted_items().into_iter().map(Ok));
     }
     Ok(rows)
 }

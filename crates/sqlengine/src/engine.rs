@@ -351,6 +351,11 @@ impl Engine {
                     .span_mut()
                     .set_metric("dict_demoted", report.dict_demoted as i64);
             }
+            // Rows the bounded `ORDER BY … LIMIT k` heaps admitted, summed
+            // over morsels: how many rows the sort actually built.
+            if let Some(n) = report.topk_rows {
+                exec_t.span_mut().set_metric("topk_rows", n as i64);
+            }
             exec_t
                 .span_mut()
                 .push_child(Span::new("compile(expr)").with_duration(report.compile_time));

@@ -26,7 +26,7 @@ use crate::plan::logical::{AggArg, AggExpr, AggMode, ProjectSpec, Scalar};
 use crate::plan::physical::{DatasetRef, PhysicalPlan};
 use aggregate::{Accumulator, OrdValue};
 use eval::{eval, make_record, passes_filter};
-use polyframe_datamodel::{Record, Value};
+use polyframe_datamodel::{Record, SortKey, TopK, Value};
 use polyframe_storage::{Direction, ScanRange, Table};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -316,29 +316,17 @@ impl<'a> Executor<'a> {
             }
             PhysicalPlan::Sort { input, keys, topk } => {
                 let rows: Result<Vec<Value>> = self.stream(input)?.collect();
-                let mut rows = rows?;
-                let mut keyed: Vec<(Vec<OrdValue>, Value)> = Vec::with_capacity(rows.len());
-                for row in rows.drain(..) {
+                // Every row's keys are evaluated (key errors fire in row
+                // order); only rows the top-k admits are kept.
+                let mut sorted = TopK::new(topk.map(|k| k as usize));
+                for row in rows? {
                     let mut kv = Vec::with_capacity(keys.len());
-                    for (expr, _) in keys {
-                        kv.push(OrdValue(eval(expr, &row)?));
+                    for (expr, desc) in keys {
+                        kv.push(SortKey::new(eval(expr, &row)?, *desc));
                     }
-                    keyed.push((kv, row));
+                    sorted.push(kv, row);
                 }
-                keyed.sort_by(|(a, _), (b, _)| {
-                    for (i, (_, desc)) in keys.iter().enumerate() {
-                        let ord = a[i].cmp(&b[i]);
-                        let ord = if *desc { ord.reverse() } else { ord };
-                        if ord != std::cmp::Ordering::Equal {
-                            return ord;
-                        }
-                    }
-                    std::cmp::Ordering::Equal
-                });
-                if let Some(k) = topk {
-                    keyed.truncate(*k as usize);
-                }
-                Ok(Box::new(keyed.into_iter().map(|(_, row)| Ok(row))))
+                Ok(Box::new(sorted.into_sorted_items().into_iter().map(Ok)))
             }
             PhysicalPlan::Limit { input, n } => {
                 let rows = self.stream(input)?;

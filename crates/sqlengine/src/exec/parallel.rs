@@ -40,7 +40,7 @@ use crate::catalog::Database;
 use crate::error::{EngineError, Result};
 use crate::plan::logical::{AggExpr, AggMode, ProjectSpec, Scalar};
 use crate::plan::physical::{DatasetRef, PhysicalPlan};
-use polyframe_datamodel::{Record, Value};
+use polyframe_datamodel::{merge_sorted, Record, SortKey, TopK, Value};
 use polyframe_observe::sync::Mutex;
 use polyframe_storage::{Direction, RecordId, ScanRange, Table};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -171,6 +171,9 @@ pub struct ExecReport {
     /// Dictionary builds demoted to generic lanes (distinct-value count
     /// overflowed `DICT_CAP`) across processed batches.
     pub dict_demoted: usize,
+    /// Rows admitted into bounded top-k heaps, summed over morsels
+    /// (`None` unless the batch path ran an `ORDER BY … LIMIT k`).
+    pub topk_rows: Option<usize>,
 }
 
 impl ExecReport {
@@ -220,7 +223,8 @@ pub(super) enum Terminal<'p> {
         aggs: &'p [AggExpr],
         mode: AggMode,
     },
-    /// Per-morsel chunk sort, k-way merged by the coordinator.
+    /// Per-morsel top-k (or stable sort, without a limit), merged by
+    /// the coordinator with a bounded k-way merge.
     Sort {
         keys: &'p [(Scalar, bool)],
         topk: Option<u64>,
@@ -284,6 +288,11 @@ impl ParallelPlan<'_> {
             _ => None,
         }
     }
+
+    /// Whether the terminal is a sort with a row budget.
+    fn bounded_sort(&self) -> bool {
+        matches!(self.terminal, Terminal::Sort { topk: Some(_), .. })
+    }
 }
 
 /// What one worker hands back for one morsel.
@@ -300,31 +309,6 @@ pub(super) enum MorselOut {
     },
     /// One morsel's aggregate accumulator states.
     Agg(super::AggParts),
-}
-
-/// A sort key component with its direction baked in, so chunk sorting and
-/// the k-way merge heap share one `Ord`.
-#[derive(Clone, PartialEq, Eq)]
-pub(super) enum SortKey {
-    Asc(OrdValue),
-    Desc(OrdValue),
-}
-
-impl Ord for SortKey {
-    fn cmp(&self, other: &SortKey) -> std::cmp::Ordering {
-        match (self, other) {
-            (SortKey::Asc(a), SortKey::Asc(b)) => a.cmp(b),
-            (SortKey::Desc(a), SortKey::Desc(b)) => b.cmp(a),
-            // A key position always has one direction.
-            _ => unreachable!("mixed sort-key directions at one position"),
-        }
-    }
-}
-
-impl PartialOrd for SortKey {
-    fn partial_cmp(&self, other: &SortKey) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
 }
 
 /// Decompose `plan` into a parallel-safe shape; `Err` carries the
@@ -836,6 +820,7 @@ pub(super) fn try_run(db: &Database, plan: &PhysicalPlan, opts: &ExecOptions) ->
                 stats.batches += s.batches;
                 stats.dict_columns += s.dict_columns;
                 stats.dict_demoted += s.dict_demoted;
+                stats.topk_rows += s.topk_rows;
             }
             // First error in morsel order, so failures are deterministic.
             Err(e) => return Ran(Err(e)),
@@ -857,6 +842,7 @@ pub(super) fn try_run(db: &Database, plan: &PhysicalPlan, opts: &ExecOptions) ->
                 specialized,
                 dict_columns: stats.dict_columns,
                 dict_demoted: stats.dict_demoted,
+                topk_rows: pp.bounded_sort().then_some(stats.topk_rows),
             },
         )
     }))
@@ -892,17 +878,9 @@ fn run_sequential(
             rows
         }
         MorselSink::Aggregate(state) => state.finish(),
-        MorselSink::Sort {
-            topk, mut keyed, ..
-        } => {
-            // One whole-domain "chunk": the stable sort + top-k truncation
-            // *is* the serial sort here.
-            keyed.sort_by(|(a, _), (b, _)| a.cmp(b));
-            if let Some(k) = topk {
-                keyed.truncate(k as usize);
-            }
-            keyed.into_iter().map(|(_, row)| row).collect()
-        }
+        // One whole-domain "chunk": its top-k (or stable sort) *is* the
+        // serial sort here.
+        MorselSink::Sort(sorted) => sorted.into_sorted_items(),
     };
     let rows = finalize_rows(rows, pp)?;
     Ok((
@@ -918,6 +896,7 @@ fn run_sequential(
             specialized: spec.is_some(),
             dict_columns: stats.dict_columns,
             dict_demoted: stats.dict_demoted,
+            topk_rows: pp.bounded_sort().then_some(stats.topk_rows),
         },
     ))
 }
@@ -935,10 +914,8 @@ pub(super) enum MorselSink<'p> {
         err: Option<EngineError>,
     },
     Aggregate(AggState<'p>),
-    Sort {
-        topk: Option<u64>,
-        keyed: Vec<(Vec<SortKey>, Value)>,
-    },
+    /// Keyed rows in the top-k kernel, bounded by the terminal's limit.
+    Sort(TopK<Vec<SortKey>, Value>),
 }
 
 impl<'p> MorselSink<'p> {
@@ -954,10 +931,7 @@ impl<'p> MorselSink<'p> {
                 aggs,
                 mode,
             } => MorselSink::Aggregate(AggState::new(group_by, aggs, *mode)),
-            Terminal::Sort { topk, .. } => MorselSink::Sort {
-                topk: *topk,
-                keyed: Vec::new(),
-            },
+            Terminal::Sort { topk, .. } => MorselSink::Sort(TopK::new(topk.map(|k| k as usize))),
         }
     }
 
@@ -992,12 +966,22 @@ impl<'p> MorselSink<'p> {
         }
     }
 
-    /// Push an already-keyed row (the vectorized path evaluates sort keys
-    /// with batch programs).
-    pub(super) fn push_keyed(&mut self, key: Vec<SortKey>, row: Value) {
+    /// The sort sink's top-k kernel (the vectorized path evaluates sort
+    /// keys with batch programs, then builds a lane's row only when the
+    /// kernel admits its key).
+    pub(super) fn sorted(&mut self) -> &mut TopK<Vec<SortKey>, Value> {
         match self {
-            MorselSink::Sort { keyed, .. } => keyed.push((key, row)),
-            _ => unreachable!("keyed push on a non-sort sink"),
+            MorselSink::Sort(sorted) => sorted,
+            _ => unreachable!("top-k access on a non-sort sink"),
+        }
+    }
+
+    /// Rows admitted into a bounded top-k heap (`0` for every other
+    /// sink, unbounded sorts included).
+    pub(super) fn topk_rows(&self) -> usize {
+        match self {
+            MorselSink::Sort(sorted) if sorted.is_bounded() => sorted.admitted(),
+            _ => 0,
         }
     }
 
@@ -1041,18 +1025,10 @@ impl<'p> MorselSink<'p> {
             } => MorselOut::Limited { rows, err },
             MorselSink::Collect { rows, .. } => MorselOut::Rows(rows),
             MorselSink::Aggregate(state) => MorselOut::Agg(state.into_parts()),
-            MorselSink::Sort {
-                topk, mut keyed, ..
-            } => {
-                // Stable, like the serial sort, so ties keep scan order.
-                keyed.sort_by(|(a, _), (b, _)| a.cmp(b));
-                if let Some(k) = topk {
-                    // Rows beyond the top-k of any chunk cannot reach the
-                    // global top-k.
-                    keyed.truncate(k as usize);
-                }
-                MorselOut::Keyed(keyed)
-            }
+            // Key order with ties in scan order, like the serial sort;
+            // rows past the top-k of any chunk cannot reach the global
+            // top-k, so a bounded chunk holds at most k rows.
+            MorselSink::Sort(sorted) => MorselOut::Keyed(sorted.into_sorted()),
         }
     }
 }
@@ -1119,11 +1095,9 @@ fn merge(parts: Vec<MorselOut>, pp: &ParallelPlan<'_>) -> Result<Vec<Value>> {
                     _ => Vec::new(),
                 })
                 .collect();
-            let mut merged = kway_merge(chunks);
-            if let Some(k) = topk {
-                merged.truncate(*k as usize);
-            }
-            merged
+            // Chunks arrive in morsel (= scan) order, so the merge's
+            // chunk-index tiebreak is the serial stable order.
+            merge_sorted(chunks, topk.map(|k| k as usize))
         }
     };
     finalize_rows(rows, pp)
@@ -1153,33 +1127,6 @@ fn finalize_rows(mut rows: Vec<Value>, pp: &ParallelPlan<'_>) -> Result<Vec<Valu
         }
     }
     Ok(rows)
-}
-
-/// K-way merge of sorted chunks. The heap key is `(sort key, chunk index)`
-/// so equal keys pop in chunk (= scan) order — the stable-sort tie order
-/// the serial path produces.
-fn kway_merge(mut chunks: Vec<Vec<(Vec<SortKey>, Value)>>) -> Vec<Value> {
-    use std::cmp::Reverse;
-    use std::collections::BinaryHeap;
-
-    let total: usize = chunks.iter().map(Vec::len).sum();
-    let mut cursors = vec![0usize; chunks.len()];
-    let mut heap: BinaryHeap<Reverse<(Vec<SortKey>, usize)>> = BinaryHeap::new();
-    for (ci, chunk) in chunks.iter().enumerate() {
-        if let Some((key, _)) = chunk.first() {
-            heap.push(Reverse((key.clone(), ci)));
-        }
-    }
-    let mut out = Vec::with_capacity(total);
-    while let Some(Reverse((_, ci))) = heap.pop() {
-        let pos = cursors[ci];
-        cursors[ci] += 1;
-        out.push(std::mem::replace(&mut chunks[ci][pos].1, Value::Null));
-        if let Some((key, _)) = chunks[ci].get(cursors[ci]) {
-            heap.push(Reverse((key.clone(), ci)));
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -1224,22 +1171,22 @@ mod tests {
 
     #[test]
     fn sort_key_directions() {
-        let a = SortKey::Asc(OrdValue(Value::Int(1)));
-        let b = SortKey::Asc(OrdValue(Value::Int(2)));
+        let a = SortKey::Asc(Value::Int(1));
+        let b = SortKey::Asc(Value::Int(2));
         assert!(a < b);
-        let a = SortKey::Desc(OrdValue(Value::Int(1)));
-        let b = SortKey::Desc(OrdValue(Value::Int(2)));
+        let a = SortKey::Desc(Value::Int(1));
+        let b = SortKey::Desc(Value::Int(2));
         assert!(b < a);
     }
 
     #[test]
     fn kway_merge_is_stable_across_chunks() {
-        let key = |k: i64| vec![SortKey::Asc(OrdValue(Value::Int(k)))];
+        let key = |k: i64| vec![SortKey::Asc(Value::Int(k))];
         let chunks = vec![
             vec![(key(1), Value::str("c0-k1")), (key(3), Value::str("c0-k3"))],
             vec![(key(1), Value::str("c1-k1")), (key(2), Value::str("c1-k2"))],
         ];
-        let merged = kway_merge(chunks);
+        let merged = merge_sorted(chunks, None);
         let names: Vec<&str> = merged
             .iter()
             .map(|v| match v {

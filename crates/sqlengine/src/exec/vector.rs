@@ -41,11 +41,11 @@
 use super::aggregate::OrdValue;
 use super::eval::{eval_binop, eval_func, eval_is, eval_unop, make_record, truthy};
 use super::join::ValueHashTable;
-use super::parallel::{JoinVariantSpec, MorselOp, MorselSink, ParallelPlan, SortKey, Terminal};
+use super::parallel::{JoinVariantSpec, MorselOp, MorselSink, ParallelPlan, Terminal};
 use crate::ast::{BinOp, IsKind, UnaryOp};
 use crate::error::{EngineError, Result};
 use crate::plan::logical::{AggArg, AggMode, ProjectSpec, Scalar, ScalarFunc};
-use polyframe_datamodel::{Record, Value};
+use polyframe_datamodel::{Record, SortKey, Value};
 use polyframe_storage::{Column, ColumnBatch, Index, Presence, RecordId, Table};
 use std::borrow::Cow;
 use std::collections::BTreeMap;
@@ -2240,36 +2240,45 @@ fn emit_rows(
     tracker: &mut ErrTracker,
 ) -> Vec<Value> {
     match emit {
-        RowEmit::Scanned => sel
-            .iter()
-            .map(|&lane| Value::Obj(records[lane as usize].clone()))
+        RowEmit::Value(prog) => run_program(prog, batch, sel, derived.as_deref(), stage, tracker),
+        _ => (0..sel.len())
+            .map(|k| emit_lane(emit, records, sel, derived, k))
             .collect(),
+    }
+}
+
+/// Build the result row of the `k`-th surviving lane, moving its derived
+/// columns out. `SELECT VALUE` rows come from a batch program instead
+/// (see [`emit_rows`]).
+fn emit_lane(
+    emit: &RowEmit,
+    records: &[&Record],
+    sel: &[u32],
+    derived: &mut Option<Vec<Vec<Value>>>,
+    k: usize,
+) -> Value {
+    match emit {
+        RowEmit::Scanned => Value::Obj(records[sel[k] as usize].clone()),
         RowEmit::Derived(names) => {
             let Some(cols) = derived else {
                 unreachable!("derived emit without a projection stage");
             };
-            (0..sel.len())
-                .map(|k| {
-                    let mut rec = Record::with_capacity(names.len());
-                    for (ci, name) in names.iter().enumerate() {
-                        rec.insert(
-                            name.clone(),
-                            std::mem::replace(&mut cols[ci][k], Value::Null),
-                        );
-                    }
-                    Value::Obj(rec)
-                })
-                .collect()
+            let mut rec = Record::with_capacity(names.len());
+            for (ci, name) in names.iter().enumerate() {
+                rec.insert(
+                    name.clone(),
+                    std::mem::replace(&mut cols[ci][k], Value::Null),
+                );
+            }
+            Value::Obj(rec)
         }
         RowEmit::Col(c) => {
             let Some(cols) = derived else {
                 unreachable!("column emit without derived columns");
             };
-            (0..sel.len())
-                .map(|k| std::mem::replace(&mut cols[*c][k], Value::Null))
-                .collect()
+            std::mem::replace(&mut cols[*c][k], Value::Null)
         }
-        RowEmit::Value(prog) => run_program(prog, batch, sel, derived.as_deref(), stage, tracker),
+        RowEmit::Value(_) => unreachable!("SELECT VALUE rows are emitted per batch"),
     }
 }
 
@@ -2438,40 +2447,36 @@ fn process_batch(
             }
         }
         VecTerminal::Sort { emit, keys } => {
-            let key_vals: Vec<Vec<Value>> = keys
+            // Key programs run on every surviving lane, so key errors
+            // fire exactly as in a full sort; rows are built only for
+            // lanes the top-k admits. (Sort pipelines never emit
+            // `SELECT VALUE` rows, so building a row cannot fail.)
+            let mut key_vals: Vec<Vec<Value>> = keys
                 .iter()
                 .enumerate()
                 .map(|(ki, (p, _))| {
                     run_program(p, &batch, &sel, derived.as_deref(), ki as u32, &mut tracker)
                 })
                 .collect();
-            let rows = emit_rows(
-                emit,
-                &batch,
-                records,
-                &sel,
-                &mut derived,
-                keys.len() as u32,
-                &mut tracker,
-            );
             if let Some(e) = tracker.first_err() {
                 return Err(e);
             }
-            let mut key_vals = key_vals;
-            for (k, row) in rows.into_iter().enumerate() {
-                let key = keys
-                    .iter()
-                    .zip(key_vals.iter_mut())
-                    .map(|((_, desc), vals)| {
-                        let v = OrdValue(std::mem::replace(&mut vals[k], Value::Null));
-                        if *desc {
-                            SortKey::Desc(v)
-                        } else {
-                            SortKey::Asc(v)
-                        }
-                    })
-                    .collect();
-                sink.push_keyed(key, row);
+            let sorted = sink.sorted();
+            let mut key: Vec<SortKey> = Vec::with_capacity(keys.len());
+            for k in 0..sel.len() {
+                key.clear();
+                key.extend(
+                    keys.iter()
+                        .zip(key_vals.iter_mut())
+                        .map(|((_, desc), vals)| {
+                            SortKey::new(std::mem::replace(&mut vals[k], Value::Null), *desc)
+                        }),
+                );
+                if sorted.admits(&key) {
+                    let row = emit_lane(emit, records, &sel, &mut derived, k);
+                    let key = std::mem::replace(&mut key, Vec::with_capacity(keys.len()));
+                    sorted.push(key, row);
+                }
             }
         }
         VecTerminal::Agg { keys, args } => {
@@ -2572,14 +2577,16 @@ fn fold_aggregates(
     Ok(())
 }
 
-/// Per-range execution counters: batches actually processed, plus the
+/// Per-range execution counters: batches actually processed, the
 /// dictionary observability totals (string columns built, and how many
-/// overflowed `DICT_CAP` and demoted to generic value lanes).
+/// overflowed `DICT_CAP` and demoted to generic value lanes), and the
+/// rows admitted into the range's top-k heap.
 #[derive(Debug, Clone, Copy, Default)]
 pub(super) struct RangeStats {
     pub(super) batches: usize,
     pub(super) dict_columns: usize,
     pub(super) dict_demoted: usize,
+    pub(super) topk_rows: usize,
 }
 
 /// Scan `[lo, hi)` of the morsel domain (heap slots, or a chunk of the
@@ -2661,6 +2668,7 @@ pub(super) fn run_range(
             }
         }
     }
+    stats.topk_rows = sink.topk_rows();
     Ok(stats)
 }
 

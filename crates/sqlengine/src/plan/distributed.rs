@@ -20,7 +20,7 @@
 use crate::error::{EngineError, Result};
 use crate::exec::{aggregate_rows, project_row};
 use crate::plan::logical::{AggExpr, AggMode, LogicalPlan, ProjectSpec, Scalar};
-use polyframe_datamodel::{cmp_total, Value};
+use polyframe_datamodel::{SortKey, TopK, Value};
 
 /// A distributed execution strategy for one query.
 #[derive(Debug, Clone, PartialEq)]
@@ -244,36 +244,27 @@ pub fn merge_aggregate_parts(
     merged.iter().map(|row| project_row(project, row)).collect()
 }
 
-/// Coordinator merge for [`DistributedQuery::TopK`].
+/// Coordinator merge for [`DistributedQuery::TopK`]. Every shard row's
+/// keys are evaluated (in shard order, so key errors fire as in a full
+/// sort); the top-k kernel keeps `limit` rows, ties in shard order.
 pub fn merge_topk(
     parts: Vec<Vec<Value>>,
     keys: &[(Scalar, bool)],
     limit: u64,
     post_project: Option<&ProjectSpec>,
 ) -> Result<Vec<Value>> {
-    let mut rows: Vec<Value> = parts.into_iter().flatten().collect();
-    let mut keyed: Vec<(Vec<Value>, Value)> = Vec::with_capacity(rows.len());
-    for row in rows.drain(..) {
+    let mut sorted = TopK::new(Some(limit as usize));
+    for row in parts.into_iter().flatten() {
         let mut kv = Vec::with_capacity(keys.len());
-        for (expr, _) in keys {
-            kv.push(crate::exec::eval::eval(expr, &row)?);
+        for (expr, desc) in keys {
+            kv.push(SortKey::new(crate::exec::eval::eval(expr, &row)?, *desc));
         }
-        keyed.push((kv, row));
+        sorted.push(kv, row);
     }
-    keyed.sort_by(|(a, _), (b, _)| {
-        for (i, (_, desc)) in keys.iter().enumerate() {
-            let ord = cmp_total(&a[i], &b[i]);
-            let ord = if *desc { ord.reverse() } else { ord };
-            if ord != std::cmp::Ordering::Equal {
-                return ord;
-            }
-        }
-        std::cmp::Ordering::Equal
-    });
-    keyed.truncate(limit as usize);
-    keyed
+    sorted
+        .into_sorted_items()
         .into_iter()
-        .map(|(_, row)| match post_project {
+        .map(|row| match post_project {
             Some(spec) => project_row(spec, &row),
             None => Ok(row),
         })

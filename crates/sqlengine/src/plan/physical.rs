@@ -925,10 +925,34 @@ impl<'a> Planner<'a> {
                 topk: Some(n),
             });
         }
+        let input = match self.translate_projected_topk(input, n)? {
+            Some(bounded) => bounded,
+            None => self.translate(input)?,
+        };
         Ok(PhysicalPlan::Limit {
-            input: Box::new(self.translate(input)?),
+            input: Box::new(input),
             n,
         })
+    }
+
+    /// Projections over a sort, under a limit: projections keep rows 1:1,
+    /// so the sort needs only the first `n` rows (the limit stays on
+    /// top). `None` when `plan` is not such a chain.
+    fn translate_projected_topk(&self, plan: &LogicalPlan, n: u64) -> Result<Option<PhysicalPlan>> {
+        match plan {
+            LogicalPlan::Project { input, spec } => Ok(self
+                .translate_projected_topk(input, n)?
+                .map(|inner| PhysicalPlan::Project {
+                    input: Box::new(inner),
+                    spec: spec.clone(),
+                })),
+            LogicalPlan::Sort { input, keys } => Ok(Some(PhysicalPlan::Sort {
+                input: Box::new(self.translate(input)?),
+                keys: keys.clone(),
+                topk: Some(n),
+            })),
+            _ => Ok(None),
+        }
     }
 
     fn translate_join(&self, plan: &LogicalPlan) -> Result<PhysicalPlan> {

@@ -223,3 +223,103 @@ fn tiny_tables_stay_sequential_under_stats_budget() {
         .unwrap();
     assert_eq!(ndjson(&rows), ndjson(&serial.query(sql).unwrap()));
 }
+
+/// `ORDER BY … LIMIT k` orderings per dialect: one tie-heavy key (`ten`
+/// has 300-row tie groups at `N = 3 000`), its reverse, a two-key order,
+/// the nullable `tenPercent`, and two projected (derived-column) shapes —
+/// a projection under the sort and one over it.
+fn topk_queries(config: fn() -> EngineConfig) -> Vec<String> {
+    let sqlpp = config().dialect == polyframe_sqlengine::Dialect::SqlPlusPlus;
+    let (rows, projected_in, projected_out, attr): (&str, &str, &str, fn(&str) -> String) = if sqlpp
+    {
+        (
+            "SELECT VALUE t FROM (SELECT VALUE t FROM Bench.wisconsin t) t",
+            "SELECT VALUE t FROM (SELECT t.ten, t.unique1 FROM Bench.wisconsin t) t",
+            "SELECT t.ten, t.unique1 FROM (SELECT VALUE t FROM Bench.wisconsin t) t",
+            |a| format!("t.{a}"),
+        )
+    } else {
+        (
+            "SELECT t.* FROM (SELECT * FROM Bench.wisconsin) t",
+            "SELECT t.* FROM (SELECT t.\"ten\", t.\"unique1\" FROM Bench.wisconsin t) t",
+            "SELECT t.\"ten\", t.\"unique1\" FROM (SELECT * FROM Bench.wisconsin) t",
+            |a| format!("t.\"{a}\""),
+        )
+    };
+    let (ten, unique1, ten_pct) = (attr("ten"), attr("unique1"), attr("tenPercent"));
+    let mut out = Vec::new();
+    for k in [0, 1, 299, 300, 301, N, N + 7] {
+        for order in [
+            ten.clone(),
+            format!("{ten} DESC"),
+            format!("{ten} DESC, {unique1}"),
+            ten_pct.clone(),
+            format!("{ten_pct} DESC"),
+        ] {
+            out.push(format!("{rows} ORDER BY {order} LIMIT {k}"));
+        }
+        out.push(format!("{projected_in} ORDER BY {ten} DESC LIMIT {k}"));
+        out.push(format!("{projected_out} ORDER BY {ten} LIMIT {k}"));
+    }
+    out
+}
+
+#[test]
+fn bounded_topk_matches_serial_and_full_sort() {
+    for config in [EngineConfig::postgres, EngineConfig::asterixdb] {
+        let (s, p) = pair(config);
+        for sql in topk_queries(config) {
+            assert_identical(&s, &p, &sql);
+            // The bounded path equals the unbounded stable sort, truncated.
+            let (head, k) = sql.rsplit_once(" LIMIT ").unwrap();
+            let mut full = s.query(head).unwrap();
+            full.truncate(k.parse().unwrap());
+            assert_eq!(
+                ndjson(&p.query(&sql).unwrap()),
+                ndjson(&full),
+                "top-k diverged from sort + truncate: {sql}"
+            );
+        }
+    }
+}
+
+#[test]
+fn topk_key_errors_fire_for_rows_outside_the_top_k() {
+    // `v` is an integer except at two rows whose `k` keeps them far from
+    // the top 5 by `k DESC`; the second sort key `v + 1` errors on both.
+    // Lazy row building must not skip key evaluation: the first error in
+    // scan order (the string) fires on every path.
+    let rows: Vec<polyframe_datamodel::Record> = (0..N as i64)
+        .map(|i| {
+            let v = match i {
+                1_500 => Value::str("x"),
+                2_500 => Value::Bool(true),
+                _ => Value::Int(i),
+            };
+            polyframe_datamodel::record! {"id" => i, "k" => i, "v" => v}
+        })
+        .collect();
+    for config in [EngineConfig::postgres, EngineConfig::asterixdb] {
+        let serial = Engine::new(config().with_exec(ExecOptions::rowwise()));
+        let parallel = Engine::new(config().with_exec(ExecOptions {
+            workers: 4,
+            morsel_rows: MORSEL_ROWS,
+            ..ExecOptions::default()
+        }));
+        let sequential = Engine::new(config().with_exec(ExecOptions::serial()));
+        for e in [&serial, &parallel, &sequential] {
+            e.create_dataset(NS, "keyed", Some("id")).unwrap();
+            e.load(NS, "keyed", rows.clone()).unwrap();
+        }
+        let sql = if config().dialect == polyframe_sqlengine::Dialect::SqlPlusPlus {
+            "SELECT VALUE t FROM (SELECT VALUE t FROM Bench.keyed t) t ORDER BY t.k DESC, t.v + 1 LIMIT 5"
+        } else {
+            "SELECT t.* FROM (SELECT * FROM Bench.keyed) t ORDER BY t.\"k\" DESC, t.\"v\" + 1 LIMIT 5"
+        };
+        let want = serial.query(sql).unwrap_err().to_string();
+        assert!(want.contains("string"), "{want}");
+        for e in [&parallel, &sequential] {
+            assert_eq!(e.query(sql).unwrap_err().to_string(), want, "{sql}");
+        }
+    }
+}
