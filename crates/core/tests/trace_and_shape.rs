@@ -484,6 +484,16 @@ fn executor_tier_per_benchmark_operation() {
                     "{name} e09 admitted {admitted} of {ROWS} rows into top-k heaps"
                 );
             }
+            if matches!(op, "e02" | "e05" | "e10") {
+                // An early-exit `head(5)` builds only the rows that leave,
+                // not a whole batch of them: a count, not a timing.
+                let trace = frame.last_trace().expect("the action records a trace");
+                let built = trace
+                    .span("exec")
+                    .and_then(|exec| exec.metric("rows_built"))
+                    .expect("a batch pipeline reports rows_built");
+                assert!(built <= 2 * 5, "{name} {op} built {built} rows for head(5)");
+            }
         }
         let counts = df.value_counts("ten").unwrap();
         counts.collect().unwrap();

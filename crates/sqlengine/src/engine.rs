@@ -356,6 +356,11 @@ impl Engine {
             if let Some(n) = report.topk_rows {
                 exec_t.span_mut().set_metric("topk_rows", n as i64);
             }
+            // Result rows the batch terminal built, summed over morsels:
+            // an early-exit `LIMIT k` builds at most k per morsel.
+            exec_t
+                .span_mut()
+                .set_metric("rows_built", report.rows_built as i64);
             exec_t
                 .span_mut()
                 .push_child(Span::new("compile(expr)").with_duration(report.compile_time));

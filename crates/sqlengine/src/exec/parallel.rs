@@ -17,9 +17,14 @@
 //!   group output as the serial path;
 //! * sorts stable-sort each chunk and k-way merge with the chunk index as
 //!   the tiebreak, reproducing the serial stable sort's tie order;
-//! * `LIMIT`-topped streaming pipelines run with a cooperative stop flag:
-//!   workers stop claiming morsels once the already-determined morsel
-//!   prefix satisfies the limit (see [`LimitGate`]);
+//! * `LIMIT`-topped streaming pipelines run morsel 0 on the calling
+//!   thread first, with batches ramping up from `k` lanes and index rids
+//!   pulled from the B-tree only as batches need them; a prefix that
+//!   settles the limit answers the query without spawning a thread or
+//!   collecting the rest of an index range. Otherwise workers claim
+//!   morsels 1.. under a cooperative stop flag and stop once the
+//!   already-determined morsel prefix satisfies the limit (see
+//!   [`LimitGate`]);
 //! * joins build their hash table (or resolve their inner index) once on
 //!   the coordinator and probe per-batch on the vectorized path.
 //!
@@ -42,7 +47,7 @@ use crate::plan::logical::{AggExpr, AggMode, ProjectSpec, Scalar};
 use crate::plan::physical::{DatasetRef, PhysicalPlan};
 use polyframe_datamodel::{merge_sorted, Record, SortKey, TopK, Value};
 use polyframe_observe::sync::Mutex;
-use polyframe_storage::{Direction, RecordId, ScanRange, Table};
+use polyframe_storage::{Direction, RecordId, ScanRange};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
 /// Analysis result: `Err` carries the row-path fallback cause.
@@ -154,7 +159,8 @@ pub struct ExecReport {
     /// Column batches actually processed on the vectorized path (early-exit
     /// `LIMIT` pipelines process fewer than the domain holds).
     pub batches: usize,
-    /// Configured rows per batch (0 when the row path ran).
+    /// Rows per batch cap (0 when the row path ran). Early-exit `LIMIT k`
+    /// scans start at `k` lanes and double up to it.
     pub batch_rows: usize,
     /// Time spent compiling expression programs (zero when vectorization
     /// was not attempted).
@@ -174,6 +180,11 @@ pub struct ExecReport {
     /// Rows admitted into bounded top-k heaps, summed over morsels
     /// (`None` unless the batch path ran an `ORDER BY … LIMIT k`).
     pub topk_rows: Option<usize>,
+    /// Result rows the batch terminal built (records cloned, projections
+    /// assembled, `SELECT VALUE` lanes evaluated), summed over morsels:
+    /// an early-exit `LIMIT k` builds at most `k` per morsel, a bounded
+    /// sort only the rows its heaps admit. `0` when the row path ran.
+    pub rows_built: usize,
 }
 
 impl ExecReport {
@@ -595,14 +606,15 @@ fn build_join_runtime<'q>(
     }
 }
 
-/// Cooperative early exit for `LIMIT` pipelines: workers record each
-/// completed morsel's row count (or `usize::MAX` for an error), and the
-/// gate latches `done` once the *contiguous prefix* of recorded morsels
-/// determines the query outcome — enough rows collected, or an error that
-/// fires before the limit fills. Morsel claims come off a sequential
-/// counter, so claimed morsels always form a prefix and the scan stops
-/// without evaluating (or erroring on) rows the serial `take(n)` would
-/// never have pulled.
+/// Cooperative early exit for `LIMIT` pipelines that fan out: morsel 0
+/// ran on the calling thread without settling the limit and is recorded
+/// first; workers then record each completed morsel's row count (or
+/// `usize::MAX` for an error), and the gate latches `done` once the
+/// *contiguous prefix* of recorded morsels determines the query outcome —
+/// enough rows collected, or an error that fires before the limit fills.
+/// Morsel claims come off a sequential counter, so claimed morsels always
+/// form a prefix and the scan stops without evaluating (or erroring on)
+/// rows the serial `take(n)` would never have pulled.
 struct LimitGate {
     n: usize,
     done: AtomicBool,
@@ -696,9 +708,17 @@ pub(super) fn try_run(db: &Database, plan: &PhysicalPlan, opts: &ExecOptions) ->
         Err(e) => return Ran(Err(e)),
     };
 
-    // Materialize the scan domain: heap slots, or the rid list of one
-    // index scan (one B-tree walk, preserving index order).
-    let rids: Option<Vec<RecordId>> = match &pp.leaf {
+    let step = opts.morsel_rows.max(1);
+    let batch_rows = opts.batch_rows.clamp(1, MAX_BATCH_ROWS);
+    let early = pp.early_exit_limit();
+    let num_slots = table.heap().num_slots();
+    let rt = rt.as_ref();
+    let spec = spec.as_ref();
+    let finish = |sink, stats| finish_serial(sink, stats, &pp, spec, batch_rows, compile_time);
+
+    // The index leaf's rids, in index order: one B-tree walk, pulled
+    // lazily so a limit the prefix settles never collects the range.
+    let mut index_rids = match &pp.leaf {
         Leaf::Seq(_) => None,
         Leaf::Index {
             attr,
@@ -706,7 +726,7 @@ pub(super) fn try_run(db: &Database, plan: &PhysicalPlan, opts: &ExecOptions) ->
             direction,
             ..
         } => match table.index_on(attr) {
-            Some(index) => Some(index.scan(range, *direction).map(|(_, rid)| rid).collect()),
+            Some(index) => Some(index.scan(range, *direction).map(|(_, rid)| rid)),
             None => {
                 return Ran(Err(EngineError::exec(format!(
                     "no index on attribute {attr} (planner bug)"
@@ -714,72 +734,137 @@ pub(super) fn try_run(db: &Database, plan: &PhysicalPlan, opts: &ExecOptions) ->
             }
         },
     };
-    let domain = match &rids {
-        Some(r) => r.len(),
-        None => table.heap().num_slots(),
+
+    // Calling-thread prefix: under an early-exit limit, morsel 0 runs here
+    // before any worker exists, its batches ramping up from `k` lanes. A
+    // prefix that settles the limit (enough rows, or an error first)
+    // answers the query without a thread or the rest of the rid list.
+    let mut head = None;
+    if let Some(n) = early {
+        let started = Instant::now();
+        let mut sink = MorselSink::new(&pp.terminal, early);
+        let mut prefix_rids = index_rids.as_mut().map(|it| it.by_ref().take(step));
+        let domain = match prefix_rids.as_mut() {
+            Some(it) => vector::Domain::Rids(it),
+            None => vector::Domain::Slots(0, step.min(num_slots)),
+        };
+        let stats =
+            match vector::run_range(table, domain, &vp, rt, spec, batch_rows, n, &mut sink, None) {
+                Ok(stats) => stats,
+                Err(e) => return Ran(Err(e)),
+            };
+        if sink.satisfied() {
+            return Ran(finish(sink, stats));
+        }
+        head = Some((sink, stats, started.elapsed()));
+    }
+
+    // The rest of the domain: heap slots past the prefix, or the index
+    // rids the prefix left (the whole range without one). Those rids are
+    // collected only when workers may fan out, because their exact count
+    // budgets the workers; a single-worker engine streams them on.
+    let rids: Option<Vec<RecordId>> = match index_rids.as_mut() {
+        Some(it) if opts.workers > 1 => Some(it.collect()),
+        _ => None,
     };
-    let step = opts.morsel_rows.max(1);
-    let batch_rows = opts.batch_rows.clamp(1, MAX_BATCH_ROWS);
-    let ranges: Vec<(usize, usize)> = (0..domain)
+    let (lo, hi) = match (&rids, &index_rids, &head) {
+        (Some(r), _, _) => (0, r.len()),
+        // Streamed rids: one worker, so no ranges to hand out.
+        (None, Some(_), _) => (0, 0),
+        (None, None, Some(_)) => (step.min(num_slots), num_slots),
+        (None, None, None) => (0, num_slots),
+    };
+    let ranges: Vec<(usize, usize)> = (lo..hi)
         .step_by(step)
-        .map(|lo| (lo, (lo + step).min(domain)))
+        .map(|lo| (lo, (lo + step).min(hi)))
         .collect();
-    // Worker budgeting from the statistics snapshot: the estimated live
-    // rows justify at most one worker per *full* morsel they fill, so a
-    // tiny table whose tail range is mostly padding stops paying thread
-    // setup for workers that would claim almost no work. When the stats
-    // report nothing (counters not yet populated), the range count alone
-    // decides, as before.
-    let est_rows = table.stats().record_count();
-    let worker_budget = if est_rows > 0 {
-        (est_rows / step).max(1)
+    // Worker budgeting: the live rows justify at most one worker per
+    // *full* morsel they fill, so a domain whose tail range is mostly
+    // padding stops paying thread setup for workers that would claim
+    // almost no work. An index domain counts its rids exactly (the prefix
+    // pulled a whole morsel when it did not settle); a heap domain takes
+    // the statistics snapshot's live-row estimate, and when the stats
+    // report nothing (counters not yet populated) the range count alone
+    // decides.
+    let live = match &rids {
+        Some(r) => r.len() + if head.is_some() { step } else { 0 },
+        None => table.stats().record_count(),
+    };
+    let worker_budget = if live > 0 {
+        (live / step).max(1)
     } else {
         ranges.len().max(1)
     };
     if opts.workers <= 1 || ranges.len() < 2 || worker_budget <= 1 {
         // Not enough work (or threads) to parallelize: run vectorized,
-        // single-threaded over the whole domain (with the limit stopping
-        // the scan early).
-        return Ran(run_sequential(
-            table,
-            rids.as_deref(),
-            domain,
-            &pp,
-            &vp,
-            rt.as_ref(),
-            spec.as_ref(),
-            batch_rows,
-            compile_time,
-        ));
+        // single-threaded over the rest of the domain, continuing the
+        // prefix's sink when there is one (with the limit stopping the
+        // scan early).
+        let (mut sink, mut stats) = match head {
+            Some((sink, stats, _)) => (sink, stats),
+            None => (
+                MorselSink::new(&pp.terminal, early),
+                vector::RangeStats::default(),
+            ),
+        };
+        let mut listed = rids.iter().flatten().copied();
+        let domain = match (&rids, index_rids.as_mut()) {
+            (Some(_), _) => vector::Domain::Rids(&mut listed),
+            (None, Some(streamed)) => vector::Domain::Rids(streamed),
+            (None, None) => vector::Domain::Slots(lo, hi),
+        };
+        match vector::run_range(
+            table, domain, &vp, rt, spec, batch_rows, batch_rows, &mut sink, None,
+        ) {
+            Ok(more) => stats.absorb(more),
+            Err(e) => return Ran(Err(e)),
+        }
+        return Ran(finish(sink, stats));
     }
 
-    let early = pp.early_exit_limit();
-    let gate = early.map(|n| LimitGate::new(n, ranges.len()));
+    // Fan out. The prefix, when it ran, is morsel 0 of the gate and of the
+    // merge walk; workers claim the remaining ranges as morsels 1.. off a
+    // sequential counter, so claimed morsels still form a prefix.
+    let offset = usize::from(head.is_some());
+    let gate = early.map(|n| LimitGate::new(n, offset + ranges.len()));
     let workers = opts.workers.min(ranges.len()).min(worker_budget);
     let next = AtomicUsize::new(0);
     type MorselResult = Result<(MorselOut, vector::RangeStats)>;
     let results: Mutex<Vec<(usize, Duration, MorselResult)>> =
-        Mutex::new(Vec::with_capacity(ranges.len()));
+        Mutex::new(Vec::with_capacity(offset + ranges.len()));
+    if let Some((sink, stats, elapsed)) = head {
+        let out = sink.finish();
+        if let (Some(g), MorselOut::Limited { rows, .. }) = (&gate, &out) {
+            // An unsettled prefix: no error, fewer than `n` rows.
+            g.record(0, rows.len());
+        }
+        results.lock().push((0, elapsed, Ok((out, stats))));
+    }
     std::thread::scope(|scope| {
         for _ in 0..workers {
             scope.spawn(|| loop {
                 if gate.as_ref().is_some_and(LimitGate::is_done) {
                     break;
                 }
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some(&(lo, hi)) = ranges.get(i) else {
+                let claim = next.fetch_add(1, Ordering::Relaxed);
+                let Some(&(lo, hi)) = ranges.get(claim) else {
                     break;
                 };
+                let i = offset + claim;
                 let started = Instant::now();
                 let mut sink = MorselSink::new(&pp.terminal, early);
+                let mut chunk = rids.iter().flat_map(|r| &r[lo..hi]).copied();
+                let domain = match &rids {
+                    Some(_) => vector::Domain::Rids(&mut chunk),
+                    None => vector::Domain::Slots(lo, hi),
+                };
                 let out = vector::run_range(
                     table,
-                    rids.as_deref(),
-                    lo,
-                    hi,
+                    domain,
                     &vp,
-                    rt.as_ref(),
-                    spec.as_ref(),
+                    rt,
+                    spec,
+                    batch_rows,
                     batch_rows,
                     &mut sink,
                     gate.as_ref().map(|g| &g.done),
@@ -817,57 +902,61 @@ pub(super) fn try_run(db: &Database, plan: &PhysicalPlan, opts: &ExecOptions) ->
         match out {
             Ok((part, s)) => {
                 parts.push(part);
-                stats.batches += s.batches;
-                stats.dict_columns += s.dict_columns;
-                stats.dict_demoted += s.dict_demoted;
-                stats.topk_rows += s.topk_rows;
+                stats.absorb(s);
             }
             // First error in morsel order, so failures are deterministic.
             Err(e) => return Ran(Err(e)),
         }
     }
 
-    let specialized = spec.is_some();
     Ran(merge(parts, &pp).map(|rows| {
         (
             rows,
             ExecReport {
                 parallelism: workers,
                 morsel_times,
-                vectorized: true,
-                batches: stats.batches,
-                batch_rows,
-                compile_time,
-                fallback: None,
-                specialized,
-                dict_columns: stats.dict_columns,
-                dict_demoted: stats.dict_demoted,
-                topk_rows: pp.bounded_sort().then_some(stats.topk_rows),
+                ..report(&stats, &pp, spec, batch_rows, compile_time)
             },
         )
     }))
 }
 
-/// Single-threaded vectorized execution over the whole scan domain: one
-/// sink, run in the terminal's own aggregate mode, so the output is the
-/// serial path's, batch-produced. An early-exit limit stops the batch
-/// loop as soon as the sink is satisfied.
-#[allow(clippy::too_many_arguments)]
-fn run_sequential(
-    table: &Table,
-    rids: Option<&[RecordId]>,
-    domain: usize,
+/// The batch path's report for `stats`, single-threaded unless the caller
+/// overrides the parallelism and morsel times.
+fn report(
+    stats: &vector::RangeStats,
     pp: &ParallelPlan<'_>,
-    vp: &vector::VecPipeline,
-    rt: Option<&vector::JoinRuntime<'_>>,
+    spec: Option<&vector::KernelPlan>,
+    batch_rows: usize,
+    compile_time: Duration,
+) -> ExecReport {
+    ExecReport {
+        parallelism: 1,
+        morsel_times: Vec::new(),
+        vectorized: true,
+        batches: stats.batches,
+        batch_rows,
+        compile_time,
+        fallback: None,
+        specialized: spec.is_some(),
+        dict_columns: stats.dict_columns,
+        dict_demoted: stats.dict_demoted,
+        topk_rows: pp.bounded_sort().then_some(stats.topk_rows),
+        rows_built: stats.rows_built,
+    }
+}
+
+/// Finish a single-threaded run: one sink fed over the whole scan domain,
+/// in the terminal's own aggregate mode, so the output is the serial
+/// path's, batch-produced.
+fn finish_serial(
+    sink: MorselSink<'_>,
+    stats: vector::RangeStats,
+    pp: &ParallelPlan<'_>,
     spec: Option<&vector::KernelPlan>,
     batch_rows: usize,
     compile_time: Duration,
 ) -> Result<(Vec<Value>, ExecReport)> {
-    let mut sink = MorselSink::new(&pp.terminal, pp.early_exit_limit());
-    let stats = vector::run_range(
-        table, rids, 0, domain, vp, rt, spec, batch_rows, &mut sink, None,
-    )?;
     let rows = match sink {
         MorselSink::Collect { rows, err, .. } => {
             // A recorded error implies the limit never filled (the sink
@@ -883,22 +972,7 @@ fn run_sequential(
         MorselSink::Sort(sorted) => sorted.into_sorted_items(),
     };
     let rows = finalize_rows(rows, pp)?;
-    Ok((
-        rows,
-        ExecReport {
-            parallelism: 1,
-            morsel_times: Vec::new(),
-            vectorized: true,
-            batches: stats.batches,
-            batch_rows,
-            compile_time,
-            fallback: None,
-            specialized: spec.is_some(),
-            dict_columns: stats.dict_columns,
-            dict_demoted: stats.dict_demoted,
-            topk_rows: pp.bounded_sort().then_some(stats.topk_rows),
-        },
-    ))
+    Ok((rows, report(&stats, pp, spec, batch_rows, compile_time)))
 }
 
 /// The per-morsel part of the terminal, fed by the batch pipeline: result
@@ -935,10 +1009,14 @@ impl<'p> MorselSink<'p> {
         }
     }
 
-    /// The early-exit limit, when this sink runs under one.
-    pub(super) fn limit(&self) -> Option<usize> {
+    /// Rows still wanted under an early-exit limit (`None` without one).
+    pub(super) fn wanted(&self) -> Option<usize> {
         match self {
-            MorselSink::Collect { limit, .. } => *limit,
+            MorselSink::Collect {
+                rows,
+                limit: Some(n),
+                ..
+            } => Some(n.saturating_sub(rows.len())),
             _ => None,
         }
     }

@@ -32,8 +32,12 @@
 //!   order, poisoned lanes are skipped by later instructions, and the
 //!   batch reports the error of the lowest poisoned lane — exactly the
 //!   row the serial scan would have failed on. Under an early-exit
-//!   `LIMIT` the batch instead replays rows and errors in lane order into
-//!   the sink, which stops at whichever settles the limit first.
+//!   `LIMIT k` the batch instead builds rows lazily, lane by lane in lane
+//!   order and interleaved with the recorded errors, and stops at
+//!   whichever settles the limit first: no row past the limit is cloned.
+//!   Such a scan also starts with a `k`-lane batch that doubles up to the
+//!   `batch_rows` cap (see [`run_range`]), so `head(5)` builds 5 rows, not
+//!   a 1 024-lane batch of them.
 //! * Anything the compiler cannot express makes [`compile`] return the
 //!   fallback cause and the caller falls back to the row path — the same
 //!   whitelist discipline `parallel::analyze` applies to plans.
@@ -2408,44 +2412,58 @@ fn process_batch(
     }
 
     match &vp.terminal {
-        VecTerminal::Collect(emit) => {
-            let rows = emit_rows(emit, &batch, records, &sel, &mut derived, 0, &mut tracker);
-            match sink.limit() {
-                None => {
-                    if let Some(e) = tracker.first_err() {
-                        return Err(e);
-                    }
-                    for row in rows {
-                        sink.push(row);
-                    }
+        VecTerminal::Collect(emit) => match sink.wanted() {
+            None => {
+                let rows = emit_rows(emit, &batch, records, &sel, &mut derived, 0, &mut tracker);
+                if let Some(e) = tracker.first_err() {
+                    return Err(e);
                 }
-                Some(_) => {
-                    // Early-exit limit: replay rows and recorded errors in
-                    // lane order; the sink stops at whichever settles the
-                    // limit first — the serial `take(n)`'s event order.
-                    let mut events: BTreeMap<u32, Result<Value>> = tracker
-                        .errs
-                        .iter()
-                        .map(|(&l, (_, e))| (l, Err(e.clone())))
-                        .collect();
-                    for (&lane, row) in sel.iter().zip(rows) {
-                        events.entry(lane).or_insert(Ok(row));
-                    }
-                    for (_, event) in events {
-                        if sink.satisfied() {
-                            break;
-                        }
-                        match event {
-                            Ok(row) => sink.push(row),
-                            Err(e) => {
-                                sink.record_err(e);
-                                break;
-                            }
-                        }
-                    }
+                stats.rows_built += rows.len();
+                for row in rows {
+                    sink.push(row);
                 }
             }
-        }
+            Some(want) => {
+                // Early-exit limit: at most `want` more rows can leave, so
+                // only the first `want` surviving lanes are built, one at a
+                // time in lane order, interleaved with the recorded errors
+                // — the serial `take(n)`'s event order. An error on a lane
+                // before the next row settles the sink; so does the last
+                // wanted row.
+                sel.truncate(want);
+                let mut values = match emit {
+                    RowEmit::Value(prog) => {
+                        let vals =
+                            run_program(prog, &batch, &sel, derived.as_deref(), 0, &mut tracker);
+                        stats.rows_built += vals.len();
+                        Some(vals)
+                    }
+                    _ => None,
+                };
+                let first_err = tracker.first();
+                for (k, &lane) in sel.iter().enumerate() {
+                    if let Some((el, _, e)) = first_err {
+                        if el <= lane {
+                            sink.record_err(e.clone());
+                            return Ok(());
+                        }
+                    }
+                    let row = match &mut values {
+                        Some(vals) => std::mem::replace(&mut vals[k], Value::Null),
+                        None => {
+                            stats.rows_built += 1;
+                            emit_lane(emit, records, &sel, &mut derived, k)
+                        }
+                    };
+                    sink.push(row);
+                }
+                // Fewer survivors than wanted: an error past the last one
+                // is the next event.
+                if let (false, Some((_, _, e))) = (sink.satisfied(), first_err) {
+                    sink.record_err(e.clone());
+                }
+            }
+        },
         VecTerminal::Sort { emit, keys } => {
             // Key programs run on every surviving lane, so key errors
             // fire exactly as in a full sort; rows are built only for
@@ -2473,6 +2491,7 @@ fn process_batch(
                         }),
                 );
                 if sorted.admits(&key) {
+                    stats.rows_built += 1;
                     let row = emit_lane(emit, records, &sel, &mut derived, k);
                     let key = std::mem::replace(&mut key, Vec::with_capacity(keys.len()));
                     sorted.push(key, row);
@@ -2579,94 +2598,119 @@ fn fold_aggregates(
 
 /// Per-range execution counters: batches actually processed, the
 /// dictionary observability totals (string columns built, and how many
-/// overflowed `DICT_CAP` and demoted to generic value lanes), and the
-/// rows admitted into the range's top-k heap.
+/// overflowed `DICT_CAP` and demoted to generic value lanes), the rows
+/// admitted into the range's top-k heap, and the result rows the terminal
+/// built.
 #[derive(Debug, Clone, Copy, Default)]
 pub(super) struct RangeStats {
     pub(super) batches: usize,
     pub(super) dict_columns: usize,
     pub(super) dict_demoted: usize,
     pub(super) topk_rows: usize,
+    pub(super) rows_built: usize,
 }
 
-/// Scan `[lo, hi)` of the morsel domain (heap slots, or a chunk of the
-/// materialized rid list) in `batch_rows`-sized batches, feeding each
-/// through the pipeline into `sink`. Returns the per-range counters: the
-/// loop stops as soon as the sink is satisfied (its own early-exit limit)
-/// or the shared `stop` flag latches (another worker's morsel settled the
-/// query).
+impl RangeStats {
+    /// Add another range's counters.
+    pub(super) fn absorb(&mut self, other: RangeStats) {
+        self.batches += other.batches;
+        self.dict_columns += other.dict_columns;
+        self.dict_demoted += other.dict_demoted;
+        self.topk_rows += other.topk_rows;
+        self.rows_built += other.rows_built;
+    }
+}
+
+/// The part of the morsel domain one [`run_range`] call scans.
+pub(super) enum Domain<'a> {
+    /// Heap slots `[lo, hi)`.
+    Slots(usize, usize),
+    /// Record ids in index order, pulled only as batches need them (a
+    /// chunk of the materialized rid list, or the B-tree walk itself).
+    Rids(&'a mut dyn Iterator<Item = RecordId>),
+}
+
+/// Scan `domain` in batches, feeding each through the pipeline into
+/// `sink`. The first batch holds `first_batch` lanes and each later one
+/// doubles, up to the `batch_rows` cap: an early-exit `LIMIT k` prefix
+/// starts at `k` so a limit the first rows satisfy never builds a full
+/// batch, while the doubling keeps a selective limit from degrading into
+/// many tiny batches. Returns the per-range counters: the loop stops as
+/// soon as the sink is satisfied (its own early-exit limit) or the shared
+/// `stop` flag latches (another worker's morsel settled the query).
 #[allow(clippy::too_many_arguments)]
 pub(super) fn run_range(
     table: &Table,
-    rids: Option<&[RecordId]>,
-    lo: usize,
-    hi: usize,
+    domain: Domain<'_>,
     vp: &VecPipeline,
     rt: Option<&JoinRuntime<'_>>,
     spec: Option<&KernelPlan>,
     batch_rows: usize,
+    first_batch: usize,
     sink: &mut MorselSink<'_>,
     stop: Option<&AtomicBool>,
 ) -> Result<RangeStats> {
-    let step = batch_rows.max(1);
+    let cap = batch_rows.max(1);
+    let mut size = first_batch.clamp(1, cap);
     let halted =
         |sink: &MorselSink<'_>| sink.satisfied() || stop.is_some_and(|s| s.load(Ordering::Relaxed));
     let mut stats = RangeStats::default();
-    let mut refs: Vec<&Record> = Vec::with_capacity(step.min(hi.saturating_sub(lo)));
-    match rids {
-        None => {
+    let mut refs: Vec<&Record> = Vec::with_capacity(size);
+    match domain {
+        Domain::Slots(lo, hi) => {
             let mut start = lo;
             while start < hi {
                 if halted(sink) {
                     break;
                 }
-                let end = (start + step).min(hi);
+                let end = (start + size).min(hi);
                 refs.clear();
                 refs.extend(table.heap().scan_range(start, end).map(|(_, rec)| rec));
                 process_batch(vp, rt, spec, &refs, sink, &mut stats)?;
                 stats.batches += 1;
                 start = end;
+                size = (size * 2).min(cap);
             }
         }
-        Some(rids) => {
-            for chunk in rids[lo..hi].chunks(step) {
-                if halted(sink) {
-                    break;
-                }
-                refs.clear();
-                let mut dangling = None;
-                for rid in chunk {
-                    match table.get(*rid) {
-                        Some(rec) => refs.push(rec),
-                        None => {
-                            dangling = Some(EngineError::exec("dangling index entry"));
-                            break;
-                        }
+        Domain::Rids(rids) => loop {
+            if halted(sink) {
+                break;
+            }
+            refs.clear();
+            let mut dangling = None;
+            for rid in (&mut *rids).take(size) {
+                match table.get(rid) {
+                    Some(rec) => refs.push(rec),
+                    None => {
+                        dangling = Some(EngineError::exec("dangling index entry"));
+                        break;
                     }
                 }
-                match dangling {
-                    None => {
+            }
+            match dangling {
+                None if refs.is_empty() => break,
+                None => {
+                    process_batch(vp, rt, spec, &refs, sink, &mut stats)?;
+                    stats.batches += 1;
+                    size = (size * 2).min(cap);
+                }
+                Some(e) => {
+                    // Under an early-exit limit the rows before the
+                    // dangling rid may still satisfy the query on their
+                    // own; feed them, then record the error for the merge
+                    // walk to place.
+                    if sink.wanted().is_some() {
                         process_batch(vp, rt, spec, &refs, sink, &mut stats)?;
                         stats.batches += 1;
-                    }
-                    Some(e) => {
-                        // Under an early-exit limit the rows before the
-                        // dangling rid may still satisfy the query on
-                        // their own; feed them, then record the error for
-                        // the merge walk to place.
-                        if sink.limit().is_some() {
-                            process_batch(vp, rt, spec, &refs, sink, &mut stats)?;
-                            stats.batches += 1;
-                            if !sink.satisfied() {
-                                sink.record_err(e);
-                            }
-                            break;
+                        if !sink.satisfied() {
+                            sink.record_err(e);
                         }
-                        return Err(e);
+                        break;
                     }
+                    return Err(e);
                 }
             }
-        }
+        },
     }
     stats.topk_rows = sink.topk_rows();
     Ok(stats)

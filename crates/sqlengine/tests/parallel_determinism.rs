@@ -224,6 +224,28 @@ fn tiny_tables_stay_sequential_under_stats_budget() {
     assert_eq!(ndjson(&rows), ndjson(&serial.query(sql).unwrap()));
 }
 
+#[test]
+fn index_domains_budget_workers_from_their_rid_count() {
+    // An index range of one morsel plus one rid splits into a full morsel
+    // and a 1-rid tail. The budget counts the range's rids, not the
+    // table's rows, so the tail does not get a worker of its own; a range
+    // of three full morsels still fans out.
+    let (s, p) = pair(EngineConfig::postgres);
+    for e in [&s, &p] {
+        e.create_index(NS, DS, "unique1").unwrap();
+    }
+    for (rids, parallel) in [(MORSEL_ROWS + 1, false), (3 * MORSEL_ROWS, true)] {
+        let sql = format!(
+            "SELECT t.* FROM (SELECT * FROM Bench.wisconsin) t WHERE t.\"unique1\" < {rids}"
+        );
+        assert!(p.explain(&sql).unwrap().contains("IndexScan"), "{sql}");
+        assert_identical(&s, &p, &sql);
+        let (_, span) = p.query_traced(&sql).unwrap();
+        let workers = span.find("exec").unwrap().metric("parallelism").unwrap();
+        assert_eq!(workers >= 2, parallel, "{sql}: parallelism={workers}");
+    }
+}
+
 /// `ORDER BY … LIMIT k` orderings per dialect: one tie-heavy key (`ten`
 /// has 300-row tie groups at `N = 3 000`), its reverse, a two-key order,
 /// the nullable `tenPercent`, and two projected (derived-column) shapes —

@@ -203,3 +203,150 @@ fn fallback_note_names_the_cause() {
     );
     drop(engines);
 }
+
+/// Rows `{id: i, g: i % 10, v: i}` in heap order, except that row `bad`
+/// (when given) holds a string `v`: negating it is a per-row error.
+fn grouped(len: usize, bad: Option<usize>) -> Vec<polyframe_datamodel::Record> {
+    (0..len)
+        .map(|i| {
+            let v = if Some(i) == bad {
+                Value::str("bad")
+            } else {
+                Value::Int(i as i64)
+            };
+            polyframe_datamodel::record! {"id" => i as i64, "g" => (i % 10) as i64, "v" => v}
+        })
+        .collect()
+}
+
+/// The trio plus a single-worker engine cut into the parallel engine's
+/// morsels, whose limited scans continue past morsel 0 on the calling
+/// thread (streaming index rids instead of collecting them).
+struct Quad {
+    trio: (Engine, Engine, Engine),
+    serial_morsels: Engine,
+}
+
+impl Quad {
+    fn new() -> Quad {
+        let serial_morsels = Engine::new(EngineConfig::postgres().with_exec(ExecOptions {
+            workers: 1,
+            morsel_rows: 512,
+            batch_rows: BATCH_ROWS,
+            ..ExecOptions::default()
+        }));
+        load(&serial_morsels);
+        Quad {
+            trio: trio(),
+            serial_morsels,
+        }
+    }
+
+    fn batch_engines(&self) -> [(&'static str, &Engine); 3] {
+        [
+            ("vectorized", &self.trio.1),
+            ("parallel", &self.trio.2),
+            ("serial_morsels", &self.serial_morsels),
+        ]
+    }
+
+    /// Load `rows` as `Bench.<ds>` with an index on `g` into every engine.
+    fn load_grouped(&self, ds: &str, rows: &[polyframe_datamodel::Record]) {
+        let batch = self.batch_engines().map(|(_, e)| e);
+        for e in std::iter::once(&self.trio.0).chain(batch) {
+            e.create_dataset(NS, ds, Some("id")).unwrap();
+            e.load(NS, ds, rows.to_vec()).unwrap();
+            e.create_index(NS, ds, "g").unwrap();
+        }
+    }
+
+    /// The outcome of `sql` on every engine, asserted identical to the
+    /// rowwise reference: NDJSON rows, or the error text. Successful batch
+    /// runs must have run vectorized; their exec spans are returned.
+    fn same_outcome(&self, sql: &str) -> (Result<String, String>, Vec<polyframe_observe::Span>) {
+        let want = self
+            .trio
+            .0
+            .query(sql)
+            .map(|rows| ndjson(&rows))
+            .map_err(|e| e.to_string());
+        let mut spans = Vec::new();
+        for (name, engine) in self.batch_engines() {
+            let got = match engine.query_traced(sql) {
+                Ok((rows, span)) => {
+                    let exec = span.find("exec").unwrap().clone();
+                    assert_eq!(exec.note("vectorized"), Some("true"), "{name}: {sql}");
+                    spans.push(exec);
+                    Ok(ndjson(&rows))
+                }
+                Err(e) => Err(e.to_string()),
+            };
+            assert_eq!(got, want, "{name} diverged from rowwise: {sql}");
+        }
+        (want, spans)
+    }
+}
+
+#[test]
+fn limit_never_evaluates_rows_past_the_limit() {
+    let engines = Quad::new();
+    // (dataset, bad row): the bad row sits inside the first ramp batch,
+    // or deep in a later morsel of both the heap and the `g = bad % 10`
+    // index range (where it is row `bad / 10`).
+    for (ds, bad) in [("poison_early", 21usize), ("poison_late", 13_007)] {
+        engines.load_grouped(ds, &grouped(20_000, Some(bad)));
+        let seq = format!("SELECT -t.\"v\" AS nv FROM (SELECT * FROM Bench.{ds}) t");
+        let idx = format!("{seq} WHERE t.\"g\" = {}", bad % 10);
+        assert!(
+            engines.trio.1.explain(&idx).unwrap().contains("IndexScan"),
+            "{idx}"
+        );
+        for (base, pos) in [(seq, bad), (idx, bad / 10)] {
+            // The error sits just past the limit: it must not fire.
+            let (out, _) = engines.same_outcome(&format!("{base} LIMIT {pos}"));
+            let rows = out.unwrap_or_else(|e| panic!("{base} LIMIT {pos}: {e}"));
+            assert_eq!(rows.lines().count(), pos, "{base} LIMIT {pos}");
+            // One more row reaches it: the same error fires everywhere.
+            let (out, _) = engines.same_outcome(&format!("{base} LIMIT {}", pos + 1));
+            let err = out.expect_err("the bad row is inside the limit");
+            assert!(err.contains("negate"), "{err}");
+        }
+    }
+}
+
+#[test]
+fn selective_limit_settling_in_a_late_morsel_ramps_its_batches() {
+    const K: usize = 5;
+    let engines = Quad::new();
+    engines.load_grouped("grouped", &grouped(20_000, None));
+    let idx = "SELECT t.* FROM (SELECT * FROM Bench.grouped) t \
+               WHERE t.\"g\" = 3 AND t.\"id\" + 0 >= 19000";
+    assert!(
+        engines.trio.1.explain(idx).unwrap().contains("IndexScan"),
+        "{idx}"
+    );
+    // (query, scan domain): the first survivors sit in the last morsel of
+    // the heap and of the 2 000-rid index range.
+    let cases = [
+        (
+            "SELECT t.* FROM (SELECT * FROM Bench.wisconsin) t WHERE t.\"unique2\" + 0 >= 2900",
+            N,
+        ),
+        (idx, 2_000),
+    ];
+    for (base, domain) in cases {
+        let sql = format!("{base} LIMIT {K}");
+        let (out, spans) = engines.same_outcome(&sql);
+        assert_eq!(out.unwrap().lines().count(), K, "{sql}");
+        // Batches ramp from K lanes and double to the cap, so the limit
+        // pays at most ⌈log2(B/K)⌉ small batches on top of the full ones.
+        let ramp = BATCH_ROWS.div_ceil(K).next_power_of_two().trailing_zeros() as usize;
+        let bound = ramp + domain.div_ceil(BATCH_ROWS) + 1;
+        for exec in spans {
+            let batches = exec.metric("batches").unwrap() as usize;
+            assert!(batches <= bound, "{sql}: {batches} batches > {bound}");
+            let built = exec.metric("rows_built").unwrap() as usize;
+            assert!(built <= K, "{sql}: built {built} rows for LIMIT {K}");
+        }
+    }
+}
