@@ -115,17 +115,35 @@ impl Config {
     }
 }
 
-/// Substitute `$var` placeholders. Variables are replaced longest-name
-/// first so `$agg_alias` is never clobbered by a hypothetical `$agg`, and
-/// the appendix idiom `"$$attribute"` (a literal `$` immediately followed
-/// by a variable) works: substituting `attribute = ten` yields `"$ten"`.
+/// Substitute `$var` placeholders in one left-to-right pass over the
+/// template. At each `$` the longest matching variable name wins, so
+/// `$agg_alias` is never clobbered by a hypothetical `$agg`. Inserted
+/// values are never rescanned, so a user literal such as `'$left'` stays
+/// literal. A `$` that starts no variable is copied as is, which makes
+/// the appendix idiom `"$$attribute"` work: substituting
+/// `attribute = ten` yields `"$ten"`.
 pub fn subst(template: &str, vars: &[(&str, &str)]) -> String {
-    let mut ordered: Vec<&(&str, &str)> = vars.iter().collect();
-    ordered.sort_by_key(|(name, _)| std::cmp::Reverse(name.len()));
-    let mut out = template.to_string();
-    for (name, value) in ordered {
-        out = out.replace(&format!("${name}"), value);
+    let mut out = String::with_capacity(template.len());
+    let mut rest = template;
+    while let Some(at) = rest.find('$') {
+        out.push_str(&rest[..at]);
+        let after = &rest[at + 1..];
+        let hit = vars
+            .iter()
+            .filter(|(name, _)| after.starts_with(name))
+            .max_by_key(|(name, _)| name.len());
+        match hit {
+            Some((name, value)) => {
+                out.push_str(value);
+                rest = &after[name.len()..];
+            }
+            None => {
+                out.push('$');
+                rest = after;
+            }
+        }
     }
+    out.push_str(rest);
     out
 }
 
@@ -217,6 +235,22 @@ min = min(t.$attribute)
                 &[("attr", "x"), ("attr_alias", "y")]
             ),
             "y and x"
+        );
+    }
+
+    #[test]
+    fn inserted_values_are_never_rescanned() {
+        // A user literal that spells a variable name stays literal.
+        assert_eq!(
+            subst("$left = $right", &[("left", "t.s"), ("right", "'$left'")]),
+            "t.s = '$left'"
+        );
+        assert_eq!(
+            subst(
+                "SELECT $projection FROM ($subquery) t",
+                &[("subquery", "SELECT '$projection'"), ("projection", "t.a")]
+            ),
+            "SELECT t.a FROM (SELECT '$projection') t"
         );
     }
 }

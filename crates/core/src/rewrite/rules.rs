@@ -130,9 +130,14 @@ impl RuleSet {
         self.template("LIMIT", key)
     }
 
-    /// Render a string literal per the `[LITERALS]` rule.
+    /// Render a string literal per the `[LITERALS]` rule. A string that
+    /// starts with `$` takes the `dollar_string` rule when the language
+    /// has one: MongoDB reads such a string as a field path.
     pub fn string_literal(&self, value: &str) -> Result<String> {
-        let template = self.template("LITERALS", "string")?;
+        let template = match self.template_opt("LITERALS", "dollar_string") {
+            Some(rule) if value.starts_with('$') => rule,
+            _ => self.template("LITERALS", "string")?,
+        };
         Ok(crate::rewrite::config::subst(template, &[("value", value)]))
     }
 

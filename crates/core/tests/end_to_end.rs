@@ -325,3 +325,61 @@ fn value_counts_generic_rule() {
         assert_eq!(head.len(), 2, "{}", af.backend());
     }
 }
+
+/// The four personalities over `records`, a dataset with primary key `id`.
+fn frames_over(records: Vec<polyframe_datamodel::Record>) -> Vec<AFrame> {
+    let sql = |config: EngineConfig| {
+        let engine = Arc::new(Engine::new(config));
+        engine.create_dataset(NS, DS, Some("id")).unwrap();
+        engine.load(NS, DS, records.clone()).unwrap();
+        engine
+    };
+    let mongo = Arc::new(DocStore::new());
+    let coll = format!("{NS}.{DS}");
+    mongo.create_collection(&coll).unwrap();
+    mongo.insert_many(&coll, records.clone()).unwrap();
+    let neo = Arc::new(GraphStore::new());
+    neo.insert_nodes(DS, records.clone()).unwrap();
+    vec![
+        AFrame::new(
+            NS,
+            DS,
+            Arc::new(AsterixConnector::new(sql(EngineConfig::asterixdb()))),
+        )
+        .unwrap(),
+        AFrame::new(
+            NS,
+            DS,
+            Arc::new(PostgresConnector::new(sql(EngineConfig::postgres()))),
+        )
+        .unwrap(),
+        AFrame::new(NS, DS, Arc::new(MongoConnector::new(mongo))).unwrap(),
+        AFrame::new(NS, DS, Arc::new(Neo4jConnector::new(neo))).unwrap(),
+    ]
+}
+
+/// Rule substitution never rewrites a user literal: a string that spells
+/// a rule variable (`$left`, `$subquery`, `$projection`) reaches the
+/// backend verbatim, so `mask(eq)` finds exactly the record holding it.
+#[test]
+fn literals_spelling_rule_variables_stay_literal() {
+    let texts = ["$left", "$right", "$subquery", "$projection", "plain"];
+    let records = texts
+        .iter()
+        .enumerate()
+        .map(|(i, s)| polyframe_datamodel::record! {"id" => i as i64, "s" => *s})
+        .collect();
+    for af in frames_over(records) {
+        for (i, s) in texts.iter().enumerate() {
+            let hit = af.mask(&col("s").eq(*s)).unwrap();
+            let rows = hit.collect().unwrap();
+            assert_eq!(rows.len(), 1, "{} {s}: {}", af.backend(), hit.query());
+            assert_eq!(
+                rows.rows()[0].get_path("id").as_i64(),
+                Some(i as i64),
+                "{} {s}",
+                af.backend()
+            );
+        }
+    }
+}

@@ -69,43 +69,6 @@ impl Record {
         Some(&self.fields[pos].1)
     }
 
-    /// Hint the CPU to pull the `i`-th field slot into cache. Scan
-    /// kernels call this a dozen rows ahead so the dependent miss on a
-    /// record's heap-allocated field buffer overlaps useful work instead
-    /// of serializing on it. Semantically a no-op: nothing is read, no
-    /// reference escapes.
-    #[inline]
-    pub fn prefetch_slot(&self, i: usize) {
-        #[cfg(target_arch = "x86_64")]
-        if i < self.fields.len() {
-            // Safety: `i` is in bounds, and prefetch has no memory
-            // effects — an unmapped or stale address is simply ignored.
-            unsafe {
-                use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
-                _mm_prefetch::<_MM_HINT_T0>(self.fields.as_ptr().add(i) as *const i8);
-            }
-        }
-        #[cfg(not(target_arch = "x86_64"))]
-        let _ = i;
-    }
-
-    /// Follow-up to [`Record::prefetch_slot`]: once the slot line has
-    /// likely arrived, hint the slot's field-name bytes in as well (the
-    /// name `String` is its own allocation, so the probe compare takes a
-    /// second dependent miss without this). Semantically a no-op.
-    #[inline]
-    pub fn prefetch_slot_name(&self, i: usize) {
-        #[cfg(target_arch = "x86_64")]
-        if let Some((k, _)) = self.fields.get(i) {
-            unsafe {
-                use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
-                _mm_prefetch::<_MM_HINT_T0>(k.as_ptr() as *const i8);
-            }
-        }
-        #[cfg(not(target_arch = "x86_64"))]
-        let _ = i;
-    }
-
     /// Field lookup that maps absence to [`Value::Missing`] (open-record
     /// semantics).
     pub fn get_or_missing(&self, name: &str) -> Value {

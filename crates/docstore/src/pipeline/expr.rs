@@ -110,6 +110,7 @@ pub fn parse_expr(v: &Value) -> Result<MongoExpr> {
                 "$toInt" => Ok(MongoExpr::ToInt(Box::new(parse_expr(body)?))),
                 "$toString" => Ok(MongoExpr::ToString(Box::new(parse_expr(body)?))),
                 "$abs" => Ok(MongoExpr::Abs(Box::new(parse_expr(body)?))),
+                "$literal" => Ok(MongoExpr::Lit(body.clone())),
                 other => Err(DocError::Pipeline(format!("unsupported operator {other}"))),
             }
         }
@@ -372,6 +373,12 @@ mod tests {
         assert_eq!(ev(r#"{"$toString": "$a"}"#), Value::str("5"));
         assert_eq!(ev(r#"{"$toInt": "7"}"#), Value::Int(7));
         assert_eq!(ev(r#"{"$abs": -3}"#), Value::Int(3));
+        // `$literal` keeps a `$`-leading string from reading as a path.
+        assert_eq!(ev(r#"{"$literal": "$s"}"#), Value::str("$s"));
+        assert_eq!(
+            ev(r#"{"$eq": ["$s", {"$literal": "abc"}]}"#),
+            Value::Bool(true)
+        );
     }
 
     #[test]

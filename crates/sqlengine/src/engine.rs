@@ -325,9 +325,9 @@ impl Engine {
                 .span_mut()
                 .set_metric("batch_rows", report.batch_rows as i64);
             // Which kernel tier ran: `specialized` = fused predicate
-            // trees / typed folds / the record-direct kernel, `generic` =
-            // the per-lane tag-checked interpreter (the pipeline has no
-            // specialized form, or `specialize` is off).
+            // trees / typed folds, `generic` = the per-lane tag-checked
+            // interpreter (the pipeline has no specialized form, or
+            // `specialize` is off).
             exec_t.span_mut().set_note(
                 "kernel",
                 if report.specialized {

@@ -75,7 +75,7 @@ pub struct ExecOptions {
     /// Rows per column batch on the vectorized path.
     pub batch_rows: usize,
     /// Specialize each compiled pipeline (fused predicate trees, typed
-    /// aggregate folds, the record-direct kernel) on the vectorized path.
+    /// aggregate folds) on the vectorized path.
     /// Off forces the generic per-lane interpreter everywhere — the
     /// ablation baseline and the sweeps' reference for the typed kernels.
     /// Results are byte-identical either way.
@@ -169,8 +169,8 @@ pub struct ExecReport {
     /// or when vectorization was off).
     pub fallback: Option<&'static str>,
     /// Whether the compiled pipeline had a specialized form (fused
-    /// predicate trees, typed aggregate fold, record-direct kernel) and
-    /// `opts.specialize` allowed it.
+    /// predicate trees, typed aggregate fold) and `opts.specialize`
+    /// allowed it.
     pub specialized: bool,
     /// Dictionary-encoded string columns built across processed batches.
     pub dict_columns: usize,

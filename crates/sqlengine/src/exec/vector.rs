@@ -1336,11 +1336,6 @@ pub(super) struct KernelPlan {
     pre_preds: Vec<Option<PredTree>>,
     stage_preds: Vec<Option<PredTree>>,
     agg: Option<FusedAgg>,
-    /// Precompiled record-direct program, present when the whole pipeline
-    /// collapses to filter→scalar-aggregate: no join, every stage a fused
-    /// predicate tree, fused terminal. Built once here so the per-row
-    /// pass is a flat loop with no tree recursion.
-    direct: Option<DirectPlan>,
 }
 
 /// Compile the specialized form of a pipeline; `None` when no stage or
@@ -1364,22 +1359,10 @@ pub(super) fn specialize(vp: &VecPipeline) -> Option<KernelPlan> {
     {
         return None;
     }
-    let direct = if vp.join.is_none()
-        && agg.is_some()
-        && pre_preds.iter().all(Option::is_some)
-        && stage_preds.iter().all(Option::is_some)
-    {
-        Some(DirectPlan::build(
-            pre_preds.iter().chain(&stage_preds).flatten(),
-        ))
-    } else {
-        None
-    };
     Some(KernelPlan {
         pre_preds,
         stage_preds,
         agg,
-        direct,
     })
 }
 
@@ -1474,401 +1457,6 @@ fn fold_fused(
         }
     }
     true
-}
-
-// ---------------------------------------------------------------------------
-// Record-direct fused kernel
-// ---------------------------------------------------------------------------
-
-/// A numeric-literal comparison term of the record-direct predicate
-/// pass, laid out so the hot loop is monomorphic: Int rows take exact
-/// `int_cmp` (when the literal is an Int), Double rows and mixed pairs
-/// take the IEEE `f64_cmp_mask`, and any other present value falls back
-/// to [`cmp_row`]'s `eval_binop` arm — the same verdicts as the leaf's
-/// generic mask for every value shape.
-struct FastCmp {
-    op: BinOp,
-    col: usize,
-    lit_is_lhs: bool,
-    /// `Some` iff the literal is an Int: Int/Int pairs must compare
-    /// exactly (an `i64` does not round-trip through `f64`).
-    lit_int: Option<i64>,
-    /// The literal as `f64`, for Double rows and Int/Double pairs.
-    lit_num: f64,
-    /// The literal itself, for the non-numeric fallback arm.
-    lit: Value,
-}
-
-/// A non-fast term: `IS` checks, `OR` subtrees (kept recursive), and
-/// comparisons against non-numeric literals.
-enum DirectLeaf {
-    Cmp {
-        op: BinOp,
-        col: usize,
-        lit: Value,
-        lit_is_lhs: bool,
-    },
-    Is {
-        col: usize,
-        kind: IsKind,
-        negated: bool,
-    },
-    Or(PredTree),
-}
-
-/// Precompiled record-direct filter program: the AND-flattened predicate
-/// leaves of every fused stage, split into the compact numeric-compare
-/// tier and the general tier. Built once per execution so the
-/// per-row check is a flat loop — no per-row tree recursion, no
-/// per-batch re-walk of the trees. Evaluating `fast` before `rest`
-/// reorders the conjunction, which is sound because every leaf is total
-/// and side-effect free: no term can observe whether another ran.
-pub(super) struct DirectPlan {
-    fast: Vec<FastCmp>,
-    rest: Vec<DirectLeaf>,
-    /// Some conjoined comparison literal is itself NULL/MISSING: that
-    /// term never passes (the generic `cmp_mask` is all-false for it),
-    /// so no row survives and the sink must stay untouched.
-    const_false: bool,
-}
-
-impl DirectPlan {
-    fn build<'t>(trees: impl Iterator<Item = &'t PredTree>) -> DirectPlan {
-        let mut plan = DirectPlan {
-            fast: Vec::new(),
-            rest: Vec::new(),
-            const_false: false,
-        };
-        for tree in trees {
-            plan.flatten(tree);
-        }
-        plan
-    }
-
-    fn flatten(&mut self, tree: &PredTree) {
-        match tree {
-            PredTree::And(a, b) => {
-                self.flatten(a);
-                self.flatten(b);
-            }
-            PredTree::Cmp {
-                op,
-                col,
-                lit,
-                lit_is_lhs,
-            } => {
-                if lit.is_unknown() {
-                    self.const_false = true;
-                    return;
-                }
-                match lit {
-                    Value::Int(i) => self.fast.push(FastCmp {
-                        op: *op,
-                        col: *col,
-                        lit_is_lhs: *lit_is_lhs,
-                        lit_int: Some(*i),
-                        lit_num: *i as f64,
-                        lit: lit.clone(),
-                    }),
-                    Value::Double(d) => self.fast.push(FastCmp {
-                        op: *op,
-                        col: *col,
-                        lit_is_lhs: *lit_is_lhs,
-                        lit_int: None,
-                        lit_num: *d,
-                        lit: lit.clone(),
-                    }),
-                    _ => self.rest.push(DirectLeaf::Cmp {
-                        op: *op,
-                        col: *col,
-                        lit: lit.clone(),
-                        lit_is_lhs: *lit_is_lhs,
-                    }),
-                }
-            }
-            PredTree::Is { col, kind, negated } => self.rest.push(DirectLeaf::Is {
-                col: *col,
-                kind: *kind,
-                negated: *negated,
-            }),
-            or @ PredTree::Or(..) => self.rest.push(DirectLeaf::Or(or.clone())),
-        }
-    }
-
-    /// The first column the per-row pass probes — the prefetch target.
-    fn probe_col(&self) -> Option<usize> {
-        self.fast.first().map(|f| f.col).or_else(|| {
-            self.rest.iter().find_map(|l| match l {
-                DirectLeaf::Cmp { col, .. } | DirectLeaf::Is { col, .. } => Some(*col),
-                DirectLeaf::Or(_) => None,
-            })
-        })
-    }
-}
-
-/// How many rows ahead the record-direct kernel touches the next row's
-/// probe column: far enough to overlap several DRAM fetches, close
-/// enough that the warmed lines survive until the row is processed.
-const PF_DIST: usize = 16;
-
-/// Row-level conjunction over the flattened leaves — the mask semantics
-/// of [`pred_mask`]: keep only on definite `True`.
-#[inline]
-fn direct_row(plan: &DirectPlan, rec: &Record, fields: &[String], hints: &mut [usize]) -> bool {
-    for f in &plan.fast {
-        let pass = match rec.get_hinted(&fields[f.col], &mut hints[f.col]) {
-            Some(Value::Int(a)) => match f.lit_int {
-                Some(x) => {
-                    if f.lit_is_lhs {
-                        int_cmp(f.op, x, *a)
-                    } else {
-                        int_cmp(f.op, *a, x)
-                    }
-                }
-                None => {
-                    if f.lit_is_lhs {
-                        f64_cmp_mask(f.op, f.lit_num, *a as f64)
-                    } else {
-                        f64_cmp_mask(f.op, *a as f64, f.lit_num)
-                    }
-                }
-            },
-            Some(Value::Double(d)) => {
-                if f.lit_is_lhs {
-                    f64_cmp_mask(f.op, f.lit_num, *d)
-                } else {
-                    f64_cmp_mask(f.op, *d, f.lit_num)
-                }
-            }
-            None | Some(Value::Null) | Some(Value::Missing) => false,
-            Some(v) => cmp_row(f.op, v, &f.lit, f.lit_is_lhs),
-        };
-        if !pass {
-            return false;
-        }
-    }
-    for leaf in &plan.rest {
-        let pass = match leaf {
-            DirectLeaf::Cmp {
-                op,
-                col,
-                lit,
-                lit_is_lhs,
-            } => match rec.get_hinted(&fields[*col], &mut hints[*col]) {
-                None | Some(Value::Null) | Some(Value::Missing) => false,
-                Some(v) => cmp_row(*op, v, lit, *lit_is_lhs),
-            },
-            DirectLeaf::Is { col, kind, negated } => {
-                let p = match rec.get_hinted(&fields[*col], &mut hints[*col]) {
-                    None | Some(Value::Missing) => Presence::Missing,
-                    Some(Value::Null) => Presence::Null,
-                    Some(_) => Presence::Present,
-                };
-                let hit = match kind {
-                    IsKind::Missing => p == Presence::Missing,
-                    IsKind::Null | IsKind::Unknown => p != Presence::Present,
-                };
-                hit != *negated
-            }
-            DirectLeaf::Or(tree) => pred_row(tree, rec, fields, hints),
-        };
-        if !pass {
-            return false;
-        }
-    }
-    true
-}
-
-/// Row-level [`PredTree`] evaluation, exactly the mask semantics of
-/// [`pred_mask`]: a lane is kept only on definite `True`, so `Null`/
-/// `Missing`/absent fields fail every comparison, and `AND`/`OR`
-/// short-circuit soundly because every leaf is total and side-effect
-/// free.
-#[inline]
-fn pred_row(tree: &PredTree, rec: &Record, fields: &[String], hints: &mut [usize]) -> bool {
-    match tree {
-        PredTree::Cmp {
-            op,
-            col,
-            lit,
-            lit_is_lhs,
-        } => {
-            if lit.is_unknown() {
-                return false;
-            }
-            match rec.get_hinted(&fields[*col], &mut hints[*col]) {
-                None | Some(Value::Null) | Some(Value::Missing) => false,
-                Some(v) => cmp_row(*op, v, lit, *lit_is_lhs),
-            }
-        }
-        PredTree::Is { col, kind, negated } => {
-            let p = match rec.get_hinted(&fields[*col], &mut hints[*col]) {
-                None | Some(Value::Missing) => Presence::Missing,
-                Some(Value::Null) => Presence::Null,
-                Some(_) => Presence::Present,
-            };
-            let hit = match kind {
-                IsKind::Missing => p == Presence::Missing,
-                IsKind::Null | IsKind::Unknown => p != Presence::Present,
-            };
-            hit != *negated
-        }
-        PredTree::And(a, b) => pred_row(a, rec, fields, hints) && pred_row(b, rec, fields, hints),
-        PredTree::Or(a, b) => pred_row(a, rec, fields, hints) || pred_row(b, rec, fields, hints),
-    }
-}
-
-/// One comparison leaf on a concrete (present) value — the row form of
-/// [`cmp_mask`]'s typed loops. Typed pairs take the same `int_cmp`/
-/// `f64_cmp_mask` fast paths; anything else (strings, booleans, mixed
-/// shapes) goes through `eval_binop`, which is what the generic lane
-/// kernels evaluate for those lanes, so the verdict is identical however
-/// the batch path would have typed the column.
-#[inline]
-fn cmp_row(op: BinOp, v: &Value, lit: &Value, lit_is_lhs: bool) -> bool {
-    match (v, lit) {
-        (Value::Int(a), Value::Int(x)) => {
-            if lit_is_lhs {
-                int_cmp(op, *x, *a)
-            } else {
-                int_cmp(op, *a, *x)
-            }
-        }
-        (Value::Int(a), Value::Double(x)) => {
-            if lit_is_lhs {
-                f64_cmp_mask(op, *x, *a as f64)
-            } else {
-                f64_cmp_mask(op, *a as f64, *x)
-            }
-        }
-        (Value::Double(a), _) if lit_f64(lit).is_some() => {
-            let x = lit_f64(lit).unwrap_or(0.0);
-            if lit_is_lhs {
-                f64_cmp_mask(op, x, *a)
-            } else {
-                f64_cmp_mask(op, *a, x)
-            }
-        }
-        _ => {
-            let r = if lit_is_lhs {
-                eval_binop(op, lit, v)
-            } else {
-                eval_binop(op, v, lit)
-            };
-            matches!(r, Ok(ref x) if truthy(x).is_true())
-        }
-    }
-}
-
-/// Run one batch of records through the record-direct fused kernel: one
-/// walk over the records, no column materialization. Byte-identity with
-/// the generic path holds because predicate leaves are total (so no
-/// error can be lost to short-circuiting) and surviving rows fold
-/// through [`MorselSink::push_agg`] in scan order — the exact fold the
-/// generic terminal performs, including its error precedence.
-fn process_direct(
-    vp: &VecPipeline,
-    spec: &KernelPlan,
-    direct: &DirectPlan,
-    records: &[&Record],
-    sink: &mut MorselSink<'_>,
-) -> Result<()> {
-    const MISSING: Value = Value::Missing;
-    let Some(fused) = spec.agg.as_ref() else {
-        return Err(EngineError::exec("direct kernel without a fused terminal"));
-    };
-    if direct.const_false {
-        return Ok(());
-    }
-    let fields = vp.scan_fields.as_slice();
-    let mut hints = vec![0usize; fields.len()];
-
-    // Records are row-at-a-time heap objects, so each row's first field
-    // access is two dependent cache misses: the fields buffer, then the
-    // field name's bytes for the probe compare. Issue non-blocking
-    // prefetches for the probe column two distances ahead — the slot
-    // line far out, the name bytes (which need the slot line) closer in
-    // — so the misses overlap row work instead of serializing on it.
-    let mut pf_cols: Vec<usize> = direct
-        .probe_col()
-        .into_iter()
-        .chain(fused.cols.iter().flatten().copied())
-        .collect();
-    pf_cols.dedup();
-    let prefetch = |i: usize, hints: &[usize]| {
-        if let Some(far) = records.get(i + 2 * PF_DIST) {
-            for &col in &pf_cols {
-                far.prefetch_slot(hints[col]);
-            }
-        }
-        if let Some(near) = records.get(i + PF_DIST) {
-            for &col in &pf_cols {
-                near.prefetch_slot_name(hints[col]);
-            }
-        }
-    };
-
-    // Phase 1: scan to the first surviving row. The aggregate state must
-    // stay untouched (`saw_any` unset) when no row survives, exactly like
-    // the generic fold, so the accumulators are only borrowed once a
-    // survivor exists.
-    let mut first = None;
-    for (i, rec) in records.iter().enumerate() {
-        prefetch(i, &hints);
-        if direct_row(direct, rec, fields, &mut hints) {
-            first = Some(i);
-            break;
-        }
-    }
-    let Some(first) = first else {
-        return Ok(());
-    };
-
-    if let Some(accs) = sink.fused_accs() {
-        // Scalar-update sink: fold each survivor straight into the
-        // accumulators — the exact per-row `update` loop of
-        // `push_values`, minus its per-row sink and mode dispatch. Int
-        // and Double arguments take the typed folds, which are defined
-        // (and property-tested) to be bit-exact with `update` and never
-        // error; everything else keeps the erroring `update` path with
-        // its serial precedence.
-        for (k, rec) in records[first..].iter().enumerate() {
-            prefetch(first + k, &hints);
-            if k > 0 && !direct_row(direct, rec, fields, &mut hints) {
-                continue;
-            }
-            for (acc, col) in accs.iter_mut().zip(&fused.cols) {
-                match col {
-                    None => acc.update(None)?,
-                    Some(c) => match rec.get_hinted(&fields[*c], &mut hints[*c]) {
-                        Some(Value::Int(i)) => acc.update_int(*i),
-                        Some(Value::Double(d)) => acc.update_double(*d),
-                        Some(v) => acc.update(Some(v))?,
-                        None => acc.update(Some(&MISSING))?,
-                    },
-                }
-            }
-        }
-        return Ok(());
-    }
-
-    // `Final`-mode merge: route through `push_agg` like the generic fold.
-    let mut args_buf: Vec<Option<&Value>> = Vec::with_capacity(fused.cols.len());
-    for (k, rec) in records[first..].iter().enumerate() {
-        prefetch(first + k, &hints);
-        if k > 0 && !direct_row(direct, rec, fields, &mut hints) {
-            continue;
-        }
-        args_buf.clear();
-        for col in &fused.cols {
-            args_buf.push(col.map(|c| {
-                rec.get_hinted(&fields[c], &mut hints[c])
-                    .unwrap_or(&MISSING)
-            }));
-        }
-        sink.push_agg(Vec::new(), &args_buf)?;
-    }
-    Ok(())
 }
 
 // ---------------------------------------------------------------------------
@@ -2358,14 +1946,6 @@ fn process_batch(
     sink: &mut MorselSink<'_>,
     stats: &mut RangeStats,
 ) -> Result<()> {
-    if let Some(spec) = spec {
-        if let (None, Some(direct)) = (rt, spec.direct.as_ref()) {
-            // Fully fused pipeline: skip column materialization entirely.
-            // No batch means no dictionary builds, so the dict counters
-            // stay at the generic runs' values.
-            return process_direct(vp, spec, direct, records, sink);
-        }
-    }
     let batch = ColumnBatch::from_records(records, &vp.scan_fields);
     stats.dict_columns += batch.dict_columns();
     stats.dict_demoted += batch.dict_demoted();

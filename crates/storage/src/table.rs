@@ -91,12 +91,11 @@ impl Table {
     pub fn insert(&mut self, record: Record) -> RecordId {
         self.stats.observe(&record);
         let rid = self.heap.insert(record);
+        // `heap` and `indexes` are disjoint fields, so the indexes read the
+        // stored record in place.
         let record = self.heap.get(rid).expect("just inserted");
-        // Indexes must be updated after the heap insert so they can reference
-        // the stored record. Split borrows via index-by-position.
-        let record = record.clone();
         for idx in &mut self.indexes {
-            idx.insert_record(rid, &record);
+            idx.insert_record(rid, record);
         }
         rid
     }
