@@ -685,6 +685,10 @@ pub fn fallback_breakdown(num_records: usize) -> Vec<FallbackBreakdown> {
 mod tests {
     use super::*;
 
+    /// `harness ablations --records 5000 --samples 2`'s size: each test
+    /// below runs it as one more input.
+    const CI_RECORDS: usize = 5_000;
+
     #[test]
     fn query_texts_are_distinct_cache_keys() {
         for p in PERSONALITIES {
@@ -707,82 +711,94 @@ mod tests {
 
     #[test]
     fn join_vectorized_ablation_is_anchored_at_rowwise() {
-        let results = join_vectorized_ablation(2_000, 2);
-        assert_eq!(results.len(), 2);
-        assert_eq!(results[0].mode, "rowwise");
-        assert!((results[0].speedup - 1.0).abs() < 1e-9);
-        assert_eq!(results[1].mode, "vectorized");
-        assert!(results[1].speedup > 0.0);
+        for records in [2_000, CI_RECORDS] {
+            let results = join_vectorized_ablation(records, 2);
+            assert_eq!(results.len(), 2);
+            assert_eq!(results[0].mode, "rowwise");
+            assert!((results[0].speedup - 1.0).abs() < 1e-9);
+            assert_eq!(results[1].mode, "vectorized");
+            assert!(results[1].speedup > 0.0);
+        }
     }
 
     #[test]
     fn fallback_breakdown_runs_blocking_operators_on_the_batch_path() {
-        let rows = fallback_breakdown(500);
-        assert_eq!(rows.len(), FALLBACK_SUITE.len());
-        for r in &rows {
-            assert_eq!(r.mode, "true", "{} fell back", r.shape);
+        for records in [500, CI_RECORDS] {
+            let rows = fallback_breakdown(records);
+            assert_eq!(rows.len(), FALLBACK_SUITE.len());
+            for r in &rows {
+                assert_eq!(r.mode, "true", "{} fell back", r.shape);
+            }
+            // Fusable shapes specialize on their first execution...
+            let fused = rows.iter().find(|r| r.shape == "fused filter+agg").unwrap();
+            assert_eq!(fused.kernel, "specialized");
+            // ...and the unique-string projection must report its dictionary
+            // demotion with a hit rate.
+            let dict = rows.iter().find(|r| r.shape == "dict overflow").unwrap();
+            assert!(
+                dict.dict.contains("demoted"),
+                "expected a demoted dictionary, got {:?}",
+                dict.dict
+            );
+            assert!(dict.dict.contains("hit-rate"), "{:?}", dict.dict);
         }
-        // Fusable shapes specialize on their first execution...
-        let fused = rows.iter().find(|r| r.shape == "fused filter+agg").unwrap();
-        assert_eq!(fused.kernel, "specialized");
-        // ...and the unique-string projection must report its dictionary
-        // demotion with a hit rate.
-        let dict = rows.iter().find(|r| r.shape == "dict overflow").unwrap();
-        assert!(
-            dict.dict.contains("demoted"),
-            "expected a demoted dictionary, got {:?}",
-            dict.dict
-        );
-        assert!(dict.dict.contains("hit-rate"), "{:?}", dict.dict);
     }
 
     #[test]
     fn kernel_specialization_ablation_is_anchored_at_generic() {
-        let results = kernel_specialization_ablation(2_000, 2);
-        assert_eq!(results.len(), 2);
-        assert_eq!(results[0].mode, "generic");
-        assert!((results[0].speedup - 1.0).abs() < 1e-9);
-        assert_eq!(results[1].mode, "specialized");
-        assert!(results[1].speedup > 0.0);
+        for records in [2_000, CI_RECORDS] {
+            let results = kernel_specialization_ablation(records, 2);
+            assert_eq!(results.len(), 2);
+            assert_eq!(results[0].mode, "generic");
+            assert!((results[0].speedup - 1.0).abs() < 1e-9);
+            assert_eq!(results[1].mode, "specialized");
+            assert!(results[1].speedup > 0.0);
+        }
     }
 
     #[test]
     fn plan_quality_ablation_flips_both_plans() {
-        let results = plan_quality_ablation(4_000, 1);
-        assert_eq!(results.len(), 2);
-        let idx = &results[0];
-        assert_eq!(idx.scenario, "index-selection");
-        assert_eq!(idx.rule_plan, "IndexScan(two=)");
-        assert_eq!(idx.cost_plan, "IndexScan(onePercent=)");
-        let join = &results[1];
-        assert_eq!(join.scenario, "join-order");
-        assert_ne!(join.rule_plan, join.cost_plan);
-        assert!(join.cost_plan.contains("build=l"), "{}", join.cost_plan);
-        for r in &results {
-            // The rejected alternative (the rule's choice) and its cost
-            // must survive into the structured report.
-            assert_eq!(r.rejected, r.rule_plan, "{}", r.scenario);
-            assert!(r.rejected_cost > 0.0, "{}", r.scenario);
-            assert!(r.report_json.contains("\"chosen\":false"), "{}", r.scenario);
+        for (records, samples) in [(4_000, 1), (CI_RECORDS, 2)] {
+            let results = plan_quality_ablation(records, samples);
+            assert_eq!(results.len(), 2);
+            let idx = &results[0];
+            assert_eq!(idx.scenario, "index-selection");
+            assert_eq!(idx.rule_plan, "IndexScan(two=)");
+            assert_eq!(idx.cost_plan, "IndexScan(onePercent=)");
+            let join = &results[1];
+            assert_eq!(join.scenario, "join-order");
+            assert_ne!(join.rule_plan, join.cost_plan);
+            assert!(join.cost_plan.contains("build=l"), "{}", join.cost_plan);
+            for r in &results {
+                // The rejected alternative (the rule's choice) and its cost
+                // must survive into the structured report.
+                assert_eq!(r.rejected, r.rule_plan, "{}", r.scenario);
+                assert!(r.rejected_cost > 0.0, "{}", r.scenario);
+                assert!(r.report_json.contains("\"chosen\":false"), "{}", r.scenario);
+            }
         }
     }
 
     #[test]
     fn vectorized_eval_ablation_is_anchored_at_rowwise() {
-        let results = vectorized_eval_ablation(2_000, 2);
-        assert_eq!(results.len(), 2);
-        assert_eq!(results[0].mode, "rowwise");
-        assert!((results[0].speedup - 1.0).abs() < 1e-9);
-        assert_eq!(results[1].mode, "vectorized");
-        assert!(results[1].speedup > 0.0);
+        for records in [2_000, CI_RECORDS] {
+            let results = vectorized_eval_ablation(records, 2);
+            assert_eq!(results.len(), 2);
+            assert_eq!(results[0].mode, "rowwise");
+            assert!((results[0].speedup - 1.0).abs() < 1e-9);
+            assert_eq!(results[1].mode, "vectorized");
+            assert!(results[1].speedup > 0.0);
+        }
     }
 
     #[test]
     fn parallel_scan_ablation_is_anchored_at_serial() {
-        let results = parallel_scan_ablation(2_000, &[1, 2], 2);
-        assert_eq!(results.len(), 2);
-        assert_eq!(results[0].workers, 1);
-        assert!((results[0].speedup - 1.0).abs() < 1e-9);
-        assert!(results[1].speedup > 0.0);
+        for (records, workers) in [(2_000, &[1, 2][..]), (CI_RECORDS, &[1, 2, 4, 8][..])] {
+            let results = parallel_scan_ablation(records, workers, 2);
+            assert_eq!(results.len(), workers.len());
+            assert_eq!(results[0].workers, 1);
+            assert!((results[0].speedup - 1.0).abs() < 1e-9);
+            assert!(results[1..].iter().all(|r| r.speedup > 0.0));
+        }
     }
 }

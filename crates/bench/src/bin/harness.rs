@@ -10,9 +10,6 @@
 //! harness sizes       [--scale N]                                  Table IV
 //! harness faults      [--records N] [--shards N] [--seed N]
 //!                      [--json PATH]                                recovery overhead
-//! harness recovery    [--records N] [--seed N] [--json PATH]       WAL crash recovery
-//! harness serve       [--sessions N] [--ops N] [--workers N]
-//!                      [--records N] [--seed N] [--json PATH]       concurrent serving
 //! harness replicate   [--records N] [--shards N] [--seed N]
 //!                      [--json PATH]                                replication + rebalance
 //! ```
@@ -112,26 +109,6 @@ fn main() {
             let seed = get_flag("--seed", 42) as u64;
             faults(records, shards, seed, get_str_flag("--json"));
         }
-        "recovery" => {
-            let records = get_flag("--records", 5_000);
-            let seed = get_flag("--seed", 42) as u64;
-            recovery(records, seed, get_str_flag("--json"));
-        }
-        "serve" => {
-            let records = get_flag("--records", 5_000);
-            let seed = get_flag("--seed", 42) as u64;
-            let sessions = get_flag("--sessions", 8);
-            let ops = get_flag("--ops", 48);
-            let workers = get_flag("--workers", 4);
-            serve(
-                records,
-                seed,
-                sessions,
-                ops,
-                workers,
-                get_str_flag("--json"),
-            );
-        }
         "replicate" => {
             let records = get_flag("--records", 5_000);
             let shards = get_flag("--shards", 2);
@@ -140,11 +117,10 @@ fn main() {
         }
         _ => {
             eprintln!(
-                "usage: harness <single-node|speedup|scaleup|translate|sizes|ablations|faults|recovery|serve|replicate> [options]\n\
+                "usage: harness <single-node|speedup|scaleup|translate|sizes|ablations|faults|replicate> [options]\n\
                  options: --size xs|s|m|l|xl|empty|all, --scale N, --shards N, --records N,\n\
-                 --samples N (ablations), --seed N (faults/recovery/serve/replicate),\n\
-                 --sessions N --ops N --workers N (serve),\n\
-                 --json PATH (single-node/ablations/faults/recovery/serve/replicate: JSON report)"
+                 --samples N (ablations), --seed N (faults/replicate),\n\
+                 --json PATH (single-node/ablations/faults/replicate: JSON report)"
             );
         }
     }
@@ -496,162 +472,6 @@ fn faults(records: usize, shards: usize, seed: u64, json_path: Option<String>) {
         std::process::exit(1);
     }
     println!("\nall retry/failover recoveries returned fault-free results");
-
-    if let Some(path) = json_path {
-        let recs: Vec<String> = runs.iter().map(|r| r.to_json(records, seed)).collect();
-        let body = format!("[\n{}\n]\n", recs.join(",\n"));
-        match std::fs::write(&path, body) {
-            Ok(()) => println!("wrote {} JSON records to {path}", recs.len()),
-            Err(e) => {
-                eprintln!("cannot write {path}: {e}");
-                std::process::exit(1);
-            }
-        }
-    }
-}
-
-/// Durability cost: every backend loads with the WAL on, restarts from
-/// snapshot + log tail, and proves the rebuilt store byte-identical;
-/// a torn final write must recover to exactly the committed prefix.
-fn recovery(records: usize, seed: u64, json_path: Option<String>) {
-    use polyframe_bench::recovery::recovery_runs;
-
-    println!("\n=== Crash recovery: {records} records, seed {seed} ===");
-    let runs = recovery_runs(records, seed);
-
-    let mut table = Table::new(&[
-        "system",
-        "load",
-        "recover",
-        "appends",
-        "checkpoints",
-        "snapshot ops",
-        "replayed",
-        "rows",
-        "lsn",
-        "state",
-        "torn tail",
-    ]);
-    for run in &runs {
-        table.row(vec![
-            run.system.to_string(),
-            fmt_duration(run.load),
-            fmt_duration(run.recover),
-            run.appends.to_string(),
-            run.checkpoints.to_string(),
-            run.report.snapshot_ops.to_string(),
-            run.report.replayed_records.to_string(),
-            run.report.restored_rows.to_string(),
-            run.report.recovered_lsn.to_string(),
-            if run.identical {
-                "identical"
-            } else {
-                "DIVERGED"
-            }
-            .to_string(),
-            if run.torn_lossless {
-                "lossless"
-            } else {
-                "LOST DATA"
-            }
-            .to_string(),
-        ]);
-    }
-    print!("{}", table.render());
-
-    let broken = runs
-        .iter()
-        .filter(|r| !r.identical || !r.torn_lossless)
-        .count();
-    if broken > 0 {
-        eprintln!("\n{broken} recovery run(s) diverged from the committed state");
-        std::process::exit(1);
-    }
-    println!("\nall recoveries rebuilt byte-identical stores from snapshot + log tail");
-
-    if let Some(path) = json_path {
-        let recs: Vec<String> = runs.iter().map(|r| r.to_json(records, seed)).collect();
-        let body = format!("[\n{}\n]\n", recs.join(",\n"));
-        match std::fs::write(&path, body) {
-            Ok(()) => println!("wrote {} JSON records to {path}", recs.len()),
-            Err(e) => {
-                eprintln!("cannot write {path}: {e}");
-                std::process::exit(1);
-            }
-        }
-    }
-}
-
-/// Concurrent serving: closed-loop sessions over the multi-session
-/// server, reporting per-session-count latency percentiles and QPS,
-/// without and with a concurrent writer. Fails when the single-session
-/// served results diverge from the direct path, or when write
-/// contention blows read tail latency past the acceptance bound.
-fn serve(
-    records: usize,
-    seed: u64,
-    sessions: usize,
-    ops: usize,
-    workers: usize,
-    json_path: Option<String>,
-) {
-    use polyframe_bench::serve::serve_runs;
-
-    println!(
-        "\n=== Concurrent serving: {records} records, up to {sessions} sessions, \
-         {ops} ops/session, {workers} workers, seed {seed} ==="
-    );
-    let runs = serve_runs(records, seed, sessions, ops, workers);
-
-    let mut table = Table::new(&[
-        "sessions", "writer", "ops", "elapsed", "p50", "p99", "qps", "rejected", "batches",
-        "results",
-    ]);
-    for run in &runs {
-        table.row(vec![
-            run.sessions.to_string(),
-            if run.with_writer { "yes" } else { "no" }.to_string(),
-            run.ops.to_string(),
-            fmt_duration(run.elapsed),
-            fmt_duration(run.p50),
-            fmt_duration(run.p99),
-            format!("{:.0}", run.qps),
-            run.rejected.to_string(),
-            run.writer_batches.to_string(),
-            if run.identical {
-                "identical"
-            } else {
-                "DIVERGED"
-            }
-            .to_string(),
-        ]);
-    }
-    print!("{}", table.render());
-
-    let diverged = runs.iter().filter(|r| !r.identical).count();
-    if diverged > 0 {
-        eprintln!("\n{diverged} serving run(s) returned different results than the direct path");
-        std::process::exit(1);
-    }
-    println!("\nsingle-session served results are identical to the direct path");
-
-    // Write-contention cost at each session count: p99 with the writer
-    // over p99 without it (snapshot reads should keep this small).
-    for quiet in runs.iter().filter(|r| !r.with_writer) {
-        if let Some(noisy) = runs
-            .iter()
-            .find(|r| r.with_writer && r.sessions == quiet.sessions)
-        {
-            let ratio = noisy.p99.as_secs_f64() / quiet.p99.as_secs_f64().max(f64::EPSILON);
-            println!(
-                "writer-contention p99 at {} sessions: {:.2}x ({} -> {})",
-                quiet.sessions,
-                ratio,
-                fmt_duration(quiet.p99),
-                fmt_duration(noisy.p99),
-            );
-        }
-    }
 
     if let Some(path) = json_path {
         let recs: Vec<String> = runs.iter().map(|r| r.to_json(records, seed)).collect();

@@ -202,25 +202,31 @@ mod tests {
 
     #[test]
     fn single_node_recovery_is_lossless() {
-        for run in single_node_runs(500, 42) {
-            assert!(run.identical, "{}: recovery changed the result", run.system);
-            assert_eq!(run.faults_injected, FAULT_BUDGET as i64, "{}", run.system);
-            assert!(run.retries > 0, "{}", run.system);
+        // The second input is `harness faults --records 2000`'s.
+        for records in [500, 2_000] {
+            for run in single_node_runs(records, 42) {
+                assert!(run.identical, "{}: recovery changed the result", run.system);
+                assert_eq!(run.faults_injected, FAULT_BUDGET as i64, "{}", run.system);
+                assert!(run.retries > 0, "{}", run.system);
+            }
         }
     }
 
     #[test]
     fn cluster_partial_runs_drop_exactly_one_shard() {
-        for run in cluster_runs(3, 600, 7) {
-            match run.scenario {
-                "failover" => {
-                    assert!(run.identical, "{}", run.system);
-                    assert!(run.failovers > 0, "{}", run.system);
+        // The second input is `harness faults --records 2000`'s.
+        for (shards, records, seed) in [(3, 600, 7), (4, 2_000, 42)] {
+            for run in cluster_runs(shards, records, seed) {
+                match run.scenario {
+                    "failover" => {
+                        assert!(run.identical, "{}", run.system);
+                        assert!(run.failovers > 0, "{}", run.system);
+                    }
+                    "partial" => {
+                        assert_eq!(run.partial_shards, 1, "{}", run.system);
+                    }
+                    other => panic!("unexpected scenario {other}"),
                 }
-                "partial" => {
-                    assert_eq!(run.partial_shards, 1, "{}", run.system);
-                }
-                other => panic!("unexpected scenario {other}"),
             }
         }
     }

@@ -10,30 +10,26 @@
 //! Neo4j — plus the multi-node speedup/scaleup harness for Figures 9/10.
 //!
 //! The `harness` binary regenerates every figure's data as text tables
-//! plus a JSON report with per-stage trace breakdowns; the micro-benches
-//! (`benches/`, built on [`microbench`]) provide per-figure timings. The
-//! [`faults`] module adds a recovery-overhead report (`harness faults`)
-//! measuring what retry, failover and partial-result degradation cost,
-//! and the [`recovery`] module a durability report (`harness recovery`)
-//! measuring what WAL-based crash recovery costs and proving the
-//! rebuilt stores byte-identical. The [`serve`] module adds a
-//! concurrent-serving report (`harness serve`): closed-loop sessions
-//! over the multi-session server, reporting p50/p99 latency and
-//! aggregate QPS per session count, with and without a concurrent
-//! writer. The [`replicate`] module adds the elastic-tier report
-//! (`harness replicate`): recovery time under load with and without
-//! follower replicas (full rebuild vs promotion), and read tail
-//! latency while a shard splits online.
+//! plus a JSON report with per-stage trace breakdowns. The [`ablations`]
+//! module times the intra-node ablations (`harness ablations`), the
+//! [`faults`] module measures what retry, failover and partial-result
+//! degradation cost (`harness faults`), and the [`replicate`] module the
+//! elastic tier (`harness replicate`): recovery time under load with and
+//! without follower replicas (full rebuild vs promotion), and read tail
+//! latency while a shard splits online. The ablations that compare
+//! executor paths assert byte-identical results before they time them,
+//! and `faults`/`replicate` exit 1 when recovery changes a result.
+//!
+//! Serving and crash-recovery timings live in polybench's `serve_rw` and
+//! `durable_ingest` workloads; their correctness checks are tier-1 tests
+//! (`tests/concurrent_serving.rs`, `tests/durability_recovery.rs`).
 
 pub mod ablations;
 pub mod expressions;
 pub mod faults;
-pub mod microbench;
 pub mod params;
-pub mod recovery;
 pub mod replicate;
 pub mod report;
-pub mod serve;
 pub mod systems;
 pub mod timing;
 

@@ -293,33 +293,39 @@ mod tests {
 
     #[test]
     fn promotion_beats_rebuild_on_replay_volume() {
-        let report = replicate_report(400, 2, 11);
-        let rebuild = &report.recovery[0];
-        let promotion = &report.recovery[1];
-        assert_eq!(rebuild.mode, "rebuild");
-        assert_eq!(promotion.mode, "promotion");
-        assert!(rebuild.identical && promotion.identical);
-        assert_eq!(rebuild.rebuilds, 1);
-        assert_eq!(rebuild.promotions, 0);
-        assert_eq!(promotion.promotions, 1);
-        assert_eq!(promotion.rebuilds, 0);
-        // The rebuild replays the shard's whole log; the promotion only
-        // the committed-but-unshipped tail (here: nothing).
-        assert!(rebuild.replayed > 0, "rebuild replayed nothing");
-        assert!(
-            promotion.replayed < rebuild.replayed,
-            "promotion replayed {} >= rebuild's {}",
-            promotion.replayed,
-            rebuild.replayed
-        );
+        // The second input is `harness replicate --records 2000 --seed 7`'s.
+        for (records, seed) in [(400, 11), (2_000, 7)] {
+            let report = replicate_report(records, 2, seed);
+            let rebuild = &report.recovery[0];
+            let promotion = &report.recovery[1];
+            assert_eq!(rebuild.mode, "rebuild");
+            assert_eq!(promotion.mode, "promotion");
+            assert!(rebuild.identical && promotion.identical);
+            assert_eq!(rebuild.rebuilds, 1);
+            assert_eq!(rebuild.promotions, 0);
+            assert_eq!(promotion.promotions, 1);
+            assert_eq!(promotion.rebuilds, 0);
+            // The rebuild replays the shard's whole log; the promotion only
+            // the committed-but-unshipped tail (here: nothing).
+            assert!(rebuild.replayed > 0, "rebuild replayed nothing");
+            assert!(
+                promotion.replayed < rebuild.replayed,
+                "promotion replayed {} >= rebuild's {}",
+                promotion.replayed,
+                rebuild.replayed
+            );
+        }
     }
 
     #[test]
     fn rebalance_is_lossless_under_traffic() {
-        let run = rebalance_cell(400, 2);
-        assert!(run.identical, "split changed the answer");
-        assert_eq!(run.shards_after, 3);
-        assert!(run.kept > 0 && run.moved > 0, "split moved nothing");
-        assert!(run.p50 <= run.p99);
+        // The second input is `harness replicate --records 2000`'s.
+        for records in [400, 2_000] {
+            let run = rebalance_cell(records, 2);
+            assert!(run.identical, "split changed the answer");
+            assert_eq!(run.shards_after, 3);
+            assert!(run.kept > 0 && run.moved > 0, "split moved nothing");
+            assert!(run.p50 <= run.p99);
+        }
     }
 }

@@ -6,11 +6,8 @@
 
 use polyframe_bench::ablations::{FallbackBreakdown, VectorizedEvalAblation};
 use polyframe_bench::faults::FaultRun;
-use polyframe_bench::recovery::RecoveryRun as WalRecoveryRun;
 use polyframe_bench::replicate::{RebalanceRun, RecoveryRun, ReplicateReport};
-use polyframe_bench::serve::ServeRun;
 use polyframe_datamodel::{parse_json, Value};
-use polyframe_storage::RecoveryReport;
 use std::time::Duration;
 
 /// Parse one report line and assert it carries exactly `keys`.
@@ -95,71 +92,6 @@ fn faults_report_keeps_documented_keys() {
             "failovers",
             "faults_injected",
             "partial_shards",
-            "identical",
-        ],
-    );
-}
-
-#[test]
-fn recovery_report_keeps_documented_keys() {
-    let run = WalRecoveryRun {
-        system: "MongoDB",
-        load: Duration::from_millis(10),
-        recover: Duration::from_millis(3),
-        appends: 12,
-        checkpoints: 3,
-        report: RecoveryReport::default(),
-        identical: true,
-        torn_lossless: true,
-    };
-    assert_keys(
-        &run.to_json(5_000, 42),
-        &[
-            "system",
-            "records",
-            "seed",
-            "load_ns",
-            "recover_ns",
-            "appends",
-            "checkpoints",
-            "snapshot_ops",
-            "replayed_records",
-            "restored_rows",
-            "recovered_lsn",
-            "identical",
-            "torn_lossless",
-        ],
-    );
-}
-
-#[test]
-fn serve_report_keeps_documented_keys() {
-    let run = ServeRun {
-        sessions: 4,
-        with_writer: true,
-        ops: 64,
-        elapsed: Duration::from_millis(20),
-        p50: Duration::from_micros(300),
-        p99: Duration::from_millis(2),
-        qps: 3_200.0,
-        rejected: 1,
-        writer_batches: 7,
-        identical: true,
-    };
-    assert_keys(
-        &run.to_json(5_000, 42),
-        &[
-            "sessions",
-            "with_writer",
-            "records",
-            "seed",
-            "ops",
-            "elapsed_ns",
-            "p50_ns",
-            "p99_ns",
-            "qps",
-            "rejected",
-            "writer_batches",
             "identical",
         ],
     );

@@ -307,6 +307,25 @@ fn queries_are_lazy_until_action() {
     }
 }
 
+/// PolyFrame's state is a query string, so an n-operation chain is an
+/// n-level subquery onion. The backend's optimizer must flatten it: a
+/// `mask` chain 64 deep compiles to one filter over one scan.
+#[test]
+fn deep_mask_chain_compiles_to_one_scan() {
+    let tr = polyframe::Translator::new(RuleSet::builtin(Language::SqlPlusPlus));
+    let mut query = tr.records(NS, DS).unwrap();
+    for i in 0..64 {
+        query = tr.filter(&query, &col("ten").ge(i % 10)).unwrap();
+    }
+    let engine = Engine::new(EngineConfig::asterixdb());
+    engine.create_dataset(NS, DS, Some("ten")).unwrap();
+    let plan = engine.compile_to_logical(&query).unwrap().display();
+    let lines: Vec<&str> = plan.lines().collect();
+    assert_eq!(lines.len(), 2, "plan was: {plan}");
+    assert!(lines[0].starts_with("Filter"), "plan was: {plan}");
+    assert_eq!(lines[1].trim(), "Scan Test.wisconsin", "plan was: {plan}");
+}
+
 #[test]
 fn value_counts_generic_rule() {
     for af in frames() {

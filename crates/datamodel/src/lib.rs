@@ -19,12 +19,14 @@
 //!   keys and `ORDER BY` implementations,
 //! * the one sort kernel every store runs `ORDER BY` through ([`TopK`]: a
 //!   bounded top-k heap, or a stable sort when no limit exists, plus
-//!   [`merge_sorted`] for sorted parts).
+//!   [`merge_sorted`] for sorted parts),
+//! * the one numeric `SUM` rule every store folds through ([`NumericSum`]).
 
 pub mod compare;
 pub mod error;
 pub mod json;
 pub mod record;
+pub mod sum;
 #[deny(clippy::unwrap_used)]
 pub mod topk;
 pub mod value;
@@ -33,5 +35,6 @@ pub use compare::{cmp_total, sql_compare, sql_eq, TriBool};
 pub use error::{DataModelError, Result};
 pub use json::{parse_json, parse_json_stream, to_json_pretty, to_json_string};
 pub use record::Record;
+pub use sum::NumericSum;
 pub use topk::{merge_sorted, SortKey, TopK};
 pub use value::Value;

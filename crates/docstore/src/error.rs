@@ -12,6 +12,9 @@ pub enum DocError {
     UnknownCollection(String),
     /// Runtime evaluation failure.
     Exec(String),
+    /// An ingested document's explicit `_id` repeats within its batch or
+    /// matches a stored document.
+    DuplicateKey(String),
     /// `$lookup` against a sharded collection (paper: expression 12 cannot
     /// run on distributed MongoDB).
     ShardedLookup(String),
@@ -27,6 +30,7 @@ impl fmt::Display for DocError {
             DocError::Pipeline(m) => write!(f, "pipeline error: {m}"),
             DocError::UnknownCollection(c) => write!(f, "unknown collection: {c}"),
             DocError::Exec(m) => write!(f, "execution error: {m}"),
+            DocError::DuplicateKey(m) => write!(f, "duplicate key: {m}"),
             DocError::ShardedLookup(c) => {
                 write!(f, "$lookup from sharded collection {c} is not allowed")
             }

@@ -8,7 +8,7 @@ use crate::error::{DocError, Result};
 use crate::pipeline::expr::{self, truthy, CmpOp, MongoExpr, Vars};
 use crate::pipeline::optimizer::{find_downstream_limit, PhysicalPipeline, Source};
 use crate::pipeline::{Accum, GroupId, ProjectItem, Stage};
-use polyframe_datamodel::{cmp_total, Record, SortKey, TopK, Value};
+use polyframe_datamodel::{cmp_total, NumericSum, Record, SortKey, TopK, Value};
 use polyframe_storage::{Direction, ScanRange, Table};
 use std::cmp::Ordering;
 use std::collections::{BTreeMap, HashMap};
@@ -365,10 +365,9 @@ impl Ord for OrdKey {
 pub struct GroupAcc {
     /// Which accumulator this is.
     pub spec: Accum,
-    sum: f64,
+    sum: NumericSum,
     sumsq: f64,
     count: i64,
-    int_only: bool,
     min: Option<Value>,
     max: Option<Value>,
 }
@@ -378,10 +377,9 @@ impl GroupAcc {
     pub fn new(spec: &Accum) -> GroupAcc {
         GroupAcc {
             spec: spec.clone(),
-            sum: 0.0,
+            sum: NumericSum::default(),
             sumsq: 0.0,
             count: 0,
-            int_only: true,
             min: None,
             max: None,
         }
@@ -393,12 +391,9 @@ impl GroupAcc {
         match &self.spec {
             Accum::Sum(_) | Accum::Avg(_) | Accum::StdDevPop(_) => {
                 if let Some(x) = v.as_f64() {
-                    self.sum += x;
+                    self.sum.add(v);
                     self.sumsq += x * x;
                     self.count += 1;
-                    if !matches!(v, Value::Int(_)) {
-                        self.int_only = false;
-                    }
                 }
             }
             Accum::Min(_) => {
@@ -432,18 +427,12 @@ impl GroupAcc {
     /// Final value.
     pub fn finalize(&self) -> Value {
         match &self.spec {
-            Accum::Sum(_) => {
-                if self.int_only {
-                    Value::Int(self.sum as i64)
-                } else {
-                    Value::Double(self.sum)
-                }
-            }
+            Accum::Sum(_) => self.sum.value(),
             Accum::Avg(_) => {
                 if self.count == 0 {
                     Value::Null
                 } else {
-                    Value::Double(self.sum / self.count as f64)
+                    Value::Double(self.sum.as_f64() / self.count as f64)
                 }
             }
             Accum::StdDevPop(_) => {
@@ -451,7 +440,7 @@ impl GroupAcc {
                     Value::Null
                 } else {
                     let n = self.count as f64;
-                    let mean = self.sum / n;
+                    let mean = self.sum.as_f64() / n;
                     Value::Double((self.sumsq / n - mean * mean).max(0.0).sqrt())
                 }
             }
@@ -464,10 +453,9 @@ impl GroupAcc {
     /// Serialize for cross-shard merging.
     pub fn to_partial(&self) -> Value {
         let mut rec = Record::new();
-        rec.insert("sum", self.sum);
+        self.sum.write_partial(&mut rec);
         rec.insert("sumsq", self.sumsq);
         rec.insert("count", self.count);
-        rec.insert("int_only", self.int_only);
         rec.insert("min", self.min.clone().unwrap_or(Value::Missing));
         rec.insert("max", self.max.clone().unwrap_or(Value::Missing));
         Value::Obj(rec)
@@ -475,10 +463,9 @@ impl GroupAcc {
 
     /// Merge a serialized partial state.
     pub fn merge_partial(&mut self, partial: &Value) {
-        self.sum += partial.get_path("sum").as_f64().unwrap_or(0.0);
+        self.sum.merge(&NumericSum::from_partial(partial));
         self.sumsq += partial.get_path("sumsq").as_f64().unwrap_or(0.0);
         self.count += partial.get_path("count").as_i64().unwrap_or(0);
-        self.int_only &= partial.get_path("int_only").as_bool().unwrap_or(true);
         let pmin = partial.get_path("min");
         if !pmin.is_unknown()
             && self

@@ -6,12 +6,13 @@ use crate::pipeline::exec::run_pipeline;
 use crate::pipeline::expr::Vars;
 use crate::pipeline::optimizer::{optimize, PhysicalPipeline};
 use crate::pipeline::{parse_pipeline, Stage};
-use polyframe_datamodel::{Record, Value};
+use polyframe_datamodel::{cmp_total, Record, Value};
 use polyframe_observe::{CacheStats, Span, SpanTimer, VersionedCache};
 use polyframe_storage::{
     DurableError, DurableOp, DurableStore, IndexKind, NullPolicy, Snapshot, StateMachine, Table,
     TableOptions,
 };
+use std::cmp::Ordering;
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Duration;
@@ -389,16 +390,34 @@ impl DocStore {
 impl StateMachine for Collections {
     type Error = DocError;
 
-    /// Check the target collection exists and give id-less ingested
-    /// documents their `_id`s (shipped and replayed documents already
-    /// carry theirs).
+    /// Check the target collection exists, reject explicit `_id`s that
+    /// repeat within the batch or match a stored document, and give
+    /// id-less ingested documents their `_id`s (assigned ids start past
+    /// every integer id seen, so they never collide). Shipped and replayed
+    /// documents go through `apply` and are not checked again.
     fn prepare(&self, mut op: DurableOp) -> Result<DurableOp> {
         if let DurableOp::Ingest { name, .. } | DurableOp::Index { name, .. } = &op {
             if !self.tables.contains_key(name) {
                 return Err(DocError::UnknownCollection(name.clone()));
             }
         }
-        if let DurableOp::Ingest { records, .. } = &mut op {
+        if let DurableOp::Ingest { name, records, .. } = &mut op {
+            let table = &self.tables[name.as_str()];
+            let mut ids: Vec<&Value> = records.iter().filter_map(|doc| doc.get("_id")).collect();
+            ids.sort_by(|a, b| cmp_total(a, b));
+            let repeated = ids
+                .windows(2)
+                .find(|pair| cmp_total(pair[0], pair[1]) == Ordering::Equal)
+                .map(|pair| pair[0]);
+            if let Some(id) = repeated.or_else(|| {
+                ids.iter()
+                    .copied()
+                    .find(|id| table.get_by_key(id).is_some())
+            }) {
+                return Err(DocError::DuplicateKey(format!(
+                    "collection {name}, _id {id:?}"
+                )));
+            }
             let id_less = records.iter_mut().filter(|doc| !doc.contains("_id"));
             for (id, doc) in (self.next_id..).zip(id_less) {
                 // `_id` leads the document, like MongoDB's insertion rule.

@@ -44,3 +44,31 @@ fn assigned_ids_do_not_depend_on_crash_history() {
     unique.dedup();
     assert_eq!(unique.len(), 4, "an auto-assigned _id collided: {ids:?}");
 }
+
+/// An explicit `_id` that repeats within its batch, or matches a stored
+/// document, fails the whole ingest before it reaches the log: the
+/// collection and the WAL's LSN clock are left as they were.
+#[test]
+fn duplicate_explicit_ids_are_rejected_before_logging() {
+    let store = DocStore::new();
+    store
+        .enable_durability(LogMedia::new(), CheckpointPolicy::never())
+        .expect("wal");
+    store.create_collection("c").expect("ddl");
+    store
+        .insert_many("c", vec![record! {"_id" => 3i64}, record! {"x" => 1i64}])
+        .expect("distinct ids");
+    let wal = store.wal_handle().expect("durability is on");
+    let lsn = wal.next_lsn();
+
+    let in_batch = vec![record! {"_id" => 7i64}, record! {"_id" => 7.0}];
+    let stored = vec![record! {"_id" => 8i64}, record! {"_id" => 3i64}];
+    for batch in [in_batch, stored] {
+        assert!(
+            store.insert_many("c", batch.clone()).is_err(),
+            "{batch:?} was accepted"
+        );
+        assert_eq!(store.count_documents("c").expect("count"), 2);
+        assert_eq!(wal.next_lsn(), lsn, "a rejected batch reached the log");
+    }
+}

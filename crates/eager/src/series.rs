@@ -1,7 +1,7 @@
 //! Columns extracted from a frame, boolean masks, and eager column maps.
 
 use crate::budget::{Allocation, EagerError, MemoryBudget, Result};
-use polyframe_datamodel::{cmp_total, sql_compare, Value};
+use polyframe_datamodel::{cmp_total, sql_compare, NumericSum, Value};
 use std::cmp::Ordering;
 
 /// A materialized column (an eager copy, like `df['col']` in Pandas).
@@ -158,24 +158,15 @@ impl Series {
 
     /// Sum over numeric values.
     pub fn sum(&self) -> Value {
-        let mut sum = 0.0;
+        let mut sum = NumericSum::default();
         let mut any = false;
-        let mut int_only = true;
         for v in &self.values {
-            if let Some(x) = v.as_f64() {
-                sum += x;
-                any = true;
-                if !matches!(v, Value::Int(_)) {
-                    int_only = false;
-                }
-            }
+            any |= sum.add(v);
         }
-        if !any {
-            Value::Null
-        } else if int_only {
-            Value::Int(sum as i64)
+        if any {
+            sum.value()
         } else {
-            Value::Double(sum)
+            Value::Null
         }
     }
 

@@ -6,7 +6,9 @@ use crate::cypher::parser::{
 };
 use crate::error::{GraphError, Result};
 use crate::store::{LabelStore, ScanRange};
-use polyframe_datamodel::{cmp_total, sql_compare, Record, SortKey, TopK, TriBool, Value};
+use polyframe_datamodel::{
+    cmp_total, sql_compare, NumericSum, Record, SortKey, TopK, TriBool, Value,
+};
 use polyframe_storage::KeyBound;
 use std::cmp::Ordering;
 use std::collections::{BTreeMap, HashMap};
@@ -796,9 +798,8 @@ fn aggregate_map(
     struct Acc {
         agg: CAgg,
         count: i64,
-        sum: f64,
+        sum: NumericSum,
         sumsq: f64,
-        int_only: bool,
         min: Option<Value>,
         max: Option<Value>,
     }
@@ -829,12 +830,9 @@ fn aggregate_map(
                 }
                 CAgg::Sum | CAgg::Avg | CAgg::StdDevP => {
                     if let Some(x) = v.as_f64() {
-                        self.sum += x;
+                        self.sum.add(v);
                         self.sumsq += x * x;
                         self.count += 1;
-                        if !matches!(v, Value::Int(_)) {
-                            self.int_only = false;
-                        }
                     }
                 }
             }
@@ -844,18 +842,12 @@ fn aggregate_map(
                 CAgg::Count => Value::Int(self.count),
                 CAgg::Min => self.min.clone().unwrap_or(Value::Null),
                 CAgg::Max => self.max.clone().unwrap_or(Value::Null),
-                CAgg::Sum => {
-                    if self.int_only {
-                        Value::Int(self.sum as i64)
-                    } else {
-                        Value::Double(self.sum)
-                    }
-                }
+                CAgg::Sum => self.sum.value(),
                 CAgg::Avg => {
                     if self.count == 0 {
                         Value::Null
                     } else {
-                        Value::Double(self.sum / self.count as f64)
+                        Value::Double(self.sum.as_f64() / self.count as f64)
                     }
                 }
                 CAgg::StdDevP => {
@@ -863,7 +855,7 @@ fn aggregate_map(
                         Value::Null
                     } else {
                         let n = self.count as f64;
-                        let mean = self.sum / n;
+                        let mean = self.sum.as_f64() / n;
                         Value::Double((self.sumsq / n - mean * mean).max(0.0).sqrt())
                     }
                 }
@@ -927,18 +919,16 @@ fn aggregate_map(
                 Slot::Agg(agg, _) => Some(Acc {
                     agg: *agg,
                     count: 0,
-                    sum: 0.0,
+                    sum: NumericSum::default(),
                     sumsq: 0.0,
-                    int_only: true,
                     min: None,
                     max: None,
                 }),
                 Slot::CountStar => Some(Acc {
                     agg: CAgg::Count,
                     count: 0,
-                    sum: 0.0,
+                    sum: NumericSum::default(),
                     sumsq: 0.0,
-                    int_only: true,
                     min: None,
                     max: None,
                 }),

@@ -2,14 +2,15 @@
 //!
 //! The same accumulators serve single-node aggregation and the distributed
 //! two-phase (partial → merge → finalize) protocol used by
-//! `polyframe-cluster`: `COUNT` sums partial counts, `AVG` carries
+//! `polyframe-cluster`: `COUNT` sums partial counts, `SUM` carries a
+//! [`NumericSum`] (exact over Ints), `AVG` carries
 //! `(sum, count)`, `STDDEV` carries `(sum, sum-of-squares, count)` — the
 //! standard decompositions that make speedup experiments (paper Fig. 9)
 //! possible on aggregation queries.
 
 use crate::error::{EngineError, Result};
 use crate::plan::logical::AggFunc;
-use polyframe_datamodel::{cmp_total, record, Value};
+use polyframe_datamodel::{cmp_total, record, NumericSum, Record, Value};
 use std::cmp::Ordering;
 
 /// Total-order wrapper making [`Value`] usable as a map/set key.
@@ -40,21 +41,10 @@ pub struct Accumulator {
 #[derive(Debug, Clone)]
 enum State {
     Count(i64),
-    Sum {
-        sum: f64,
-        int_only: bool,
-        seen: bool,
-    },
+    Sum { sum: NumericSum, seen: bool },
     MinMax(Option<Value>),
-    Avg {
-        sum: f64,
-        count: i64,
-    },
-    Std {
-        sum: f64,
-        sumsq: f64,
-        count: i64,
-    },
+    Avg { sum: f64, count: i64 },
+    Std { sum: f64, sumsq: f64, count: i64 },
 }
 
 impl Accumulator {
@@ -63,8 +53,7 @@ impl Accumulator {
         let state = match func {
             AggFunc::Count => State::Count(0),
             AggFunc::Sum => State::Sum {
-                sum: 0.0,
-                int_only: true,
+                sum: NumericSum::default(),
                 seen: false,
             },
             AggFunc::Min | AggFunc::Max => State::MinMax(None),
@@ -97,20 +86,9 @@ impl Accumulator {
             (_, None) => {
                 return Err(EngineError::exec("only COUNT accepts a bare row"));
             }
-            (
-                State::Sum {
-                    sum,
-                    int_only,
-                    seen,
-                },
-                Some(v),
-            ) => {
-                if let Some(x) = v.as_f64() {
-                    *sum += x;
+            (State::Sum { sum, seen }, Some(v)) => {
+                if sum.add(v) {
                     *seen = true;
-                    if !matches!(v, Value::Int(_)) {
-                        *int_only = false;
-                    }
                 } else if !v.is_unknown() {
                     return Err(non_numeric("SUM", v));
                 }
@@ -156,9 +134,8 @@ impl Accumulator {
     pub(crate) fn update_int(&mut self, i: i64) {
         match &mut self.state {
             State::Count(n) => *n += 1,
-            State::Sum { sum, seen, .. } => {
-                // An Int lane leaves `int_only` set, same as `update`.
-                *sum += i as f64;
+            State::Sum { sum, seen } => {
+                sum.add_int(i);
                 *seen = true;
             }
             State::MinMax(slot) => {
@@ -191,14 +168,9 @@ impl Accumulator {
     pub(crate) fn update_double(&mut self, d: f64) {
         match &mut self.state {
             State::Count(n) => *n += 1,
-            State::Sum {
-                sum,
-                int_only,
-                seen,
-            } => {
-                *sum += d;
+            State::Sum { sum, seen } => {
+                sum.add_double(d);
                 *seen = true;
-                *int_only = false;
             }
             State::MinMax(slot) => {
                 let v = Value::Double(d);
@@ -238,17 +210,11 @@ impl Accumulator {
     pub fn finalize(&self) -> Value {
         match &self.state {
             State::Count(n) => Value::Int(*n),
-            State::Sum {
-                sum,
-                int_only,
-                seen,
-            } => {
-                if !*seen {
-                    Value::Null
-                } else if *int_only {
-                    Value::Int(*sum as i64)
+            State::Sum { sum, seen } => {
+                if *seen {
+                    sum.value()
                 } else {
-                    Value::Double(*sum)
+                    Value::Null
                 }
             }
             State::MinMax(v) => v.clone().unwrap_or(Value::Null),
@@ -276,15 +242,12 @@ impl Accumulator {
     pub fn to_partial(&self) -> Value {
         match &self.state {
             State::Count(n) => Value::Obj(record! {"count" => *n}),
-            State::Sum {
-                sum,
-                int_only,
-                seen,
-            } => Value::Obj(record! {
-                "sum" => *sum,
-                "int_only" => *int_only,
-                "seen" => *seen,
-            }),
+            State::Sum { sum, seen } => {
+                let mut rec = Record::new();
+                sum.write_partial(&mut rec);
+                rec.insert("seen", *seen);
+                Value::Obj(rec)
+            }
             State::MinMax(v) => Value::Obj(record! {
                 "value" => v.clone().unwrap_or(Value::Null),
                 "present" => v.is_some(),
@@ -309,20 +272,8 @@ impl Accumulator {
     pub fn merge_state(&mut self, other: &Accumulator) {
         match (&mut self.state, &other.state) {
             (State::Count(n), State::Count(m)) => *n += m,
-            (
-                State::Sum {
-                    sum,
-                    int_only,
-                    seen,
-                },
-                State::Sum {
-                    sum: s2,
-                    int_only: i2,
-                    seen: e2,
-                },
-            ) => {
-                *sum += s2;
-                *int_only &= i2;
+            (State::Sum { sum, seen }, State::Sum { sum: s2, seen: e2 }) => {
+                sum.merge(s2);
                 *seen |= e2;
             }
             (State::MinMax(slot), State::MinMax(Some(v))) => {
@@ -365,13 +316,8 @@ impl Accumulator {
         let get_b = |k: &str| partial.get_path(k).as_bool().unwrap_or(false);
         match &mut self.state {
             State::Count(n) => *n += get_i("count"),
-            State::Sum {
-                sum,
-                int_only,
-                seen,
-            } => {
-                *sum += get_f("sum");
-                *int_only &= get_b("int_only");
+            State::Sum { sum, seen } => {
+                sum.merge(&NumericSum::from_partial(partial));
                 *seen |= get_b("seen");
             }
             State::MinMax(slot) => {

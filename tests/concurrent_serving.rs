@@ -7,7 +7,10 @@
 //! torn mid-batch value. The suite also checks that writers really
 //! publish (the snapshot epoch advances), that catalog bumps invalidate
 //! cached plans, and that draining the server loses nothing
-//! (`completed == submitted - rejected`).
+//! (`completed == submitted - rejected`). Last, the serving tier must
+//! change scheduling, never results: sessions reading 2 000 Wisconsin
+//! records through a server get exactly the direct backend path's rows,
+//! with and without a concurrent writer.
 
 use polyframe::prelude::*;
 use polyframe::Server;
@@ -15,7 +18,8 @@ use polyframe_datamodel::{record, Record, Value};
 use polyframe_docstore::DocStore;
 use polyframe_graphstore::GraphStore;
 use polyframe_sqlengine::{Engine, EngineConfig};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use polyframe_wisconsin::{generate, WisconsinConfig};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -274,4 +278,137 @@ fn cypher_sessions_read_committed_snapshots_under_writes() {
                 .expect("writer insert");
         },
     );
+}
+
+const WISC_RECORDS: usize = 2_000;
+const WISC_SESSIONS: usize = 4;
+const WISC_OPS: usize = 24;
+const WISC_WORKERS: usize = 4;
+const WISC_SEED: u64 = 7;
+
+/// The Wisconsin read mix: each session cycles through these, with the
+/// equality keys varied by `(seed, op)` so the plan cache both hits and
+/// misses without making results timing-dependent.
+fn wisconsin_read(seed: u64, op: usize) -> QueryRequest {
+    let query = match op % 4 {
+        0 => "SELECT VALUE COUNT(*) FROM Test.wisconsin".to_string(),
+        1 => {
+            let key = (seed as usize).wrapping_add(op * 7) % 97;
+            format!("SELECT VALUE COUNT(*) FROM Test.wisconsin t WHERE t.onePercent = {key} % 100")
+        }
+        2 => "SELECT VALUE MAX(t.unique1) FROM Test.wisconsin t".to_string(),
+        _ => {
+            let key = (seed as usize).wrapping_add(op * 13) % 10;
+            format!("SELECT VALUE COUNT(*) FROM Test.wisconsin t WHERE t.tenPercent = {key}")
+        }
+    };
+    QueryRequest::new(query, "Test", "wisconsin").with_policy(client_policy())
+}
+
+/// `WISC_SESSIONS` closed-loop sessions of `WISC_OPS` reads each over
+/// `WISC_RECORDS` Wisconsin records, served by `WISC_WORKERS` workers,
+/// optionally beside a writer that loads batches and issues DDL against a
+/// scratch dataset the reads never touch. Asserts every served answer
+/// equals the direct (unserved) backend path's; returns the reads that
+/// completed and the batches the writer committed.
+fn serve_wisconsin(with_writer: bool) -> (usize, usize) {
+    let engine = Arc::new(Engine::new(EngineConfig::asterixdb()));
+    engine
+        .create_dataset("Test", "wisconsin", None)
+        .expect("ddl");
+    engine
+        .load(
+            "Test",
+            "wisconsin",
+            generate(&WisconsinConfig::new(WISC_RECORDS)),
+        )
+        .expect("load");
+    let direct = AsterixConnector::new(Arc::clone(&engine));
+    let expected: Vec<Vec<Vec<Value>>> = (0..WISC_SESSIONS as u64)
+        .map(|s| {
+            (0..WISC_OPS)
+                .map(|op| {
+                    direct
+                        .dispatch(&wisconsin_read(WISC_SEED + s, op))
+                        .expect("direct read")
+                        .rows
+                })
+                .collect()
+        })
+        .collect();
+
+    let server = Server::start(
+        Arc::new(AsterixConnector::new(Arc::clone(&engine))),
+        ServeConfig::default()
+            .with_workers(WISC_WORKERS)
+            .with_queue_capacity(8),
+    );
+    // The writer contends on the master write lock and publishes
+    // snapshots, but never changes what the read mix observes.
+    let stop = Arc::new(AtomicBool::new(false));
+    let writer = with_writer.then(|| {
+        let engine = Arc::clone(&engine);
+        let stop = Arc::clone(&stop);
+        std::thread::spawn(move || {
+            let mut batches = 0usize;
+            while !stop.load(Ordering::Acquire) {
+                if batches.is_multiple_of(16) {
+                    engine
+                        .create_dataset("Test", "scratch", Some("id"))
+                        .expect("writer ddl");
+                    engine
+                        .create_index("Test", "scratch", "val")
+                        .expect("writer index");
+                }
+                engine
+                    .load("Test", "scratch", batch_rows(batches * BATCH))
+                    .expect("writer load");
+                batches += 1;
+                std::thread::sleep(Duration::from_micros(500));
+            }
+            batches
+        })
+    });
+
+    let readers: Vec<_> = expected
+        .into_iter()
+        .zip(WISC_SEED..)
+        .map(|(expected, seed)| {
+            let session = server.session();
+            std::thread::spawn(move || {
+                for (op, want) in expected.iter().enumerate() {
+                    let rows = session
+                        .execute(&wisconsin_read(seed, op))
+                        .expect("served read")
+                        .rows;
+                    assert_eq!(
+                        &rows, want,
+                        "session seed {seed}, op {op}: served rows diverged from the direct path"
+                    );
+                }
+                expected.len()
+            })
+        })
+        .collect();
+    let completed = readers
+        .into_iter()
+        .map(|r| r.join().expect("reader session"))
+        .sum();
+    stop.store(true, Ordering::Release);
+    let batches = writer.map_or(0, |w| w.join().expect("writer"));
+    server.drain();
+    (completed, batches)
+}
+
+#[test]
+fn served_sessions_match_direct_path() {
+    let (completed, _) = serve_wisconsin(false);
+    assert_eq!(completed, WISC_SESSIONS * WISC_OPS);
+}
+
+#[test]
+fn writer_contention_keeps_reads_flowing() {
+    let (completed, batches) = serve_wisconsin(true);
+    assert_eq!(completed, WISC_SESSIONS * WISC_OPS);
+    assert!(batches > 0, "writer never committed a batch");
 }

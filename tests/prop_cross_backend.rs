@@ -8,11 +8,13 @@
 //! dependency (offline builds).
 
 use polyframe::prelude::*;
+use polyframe_cluster::{MongoCluster, SqlCluster};
 use polyframe_datamodel::{record, Record, Value};
 use polyframe_docstore::DocStore;
+use polyframe_eager::{AggKind, EagerFrame, MemoryBudget};
 use polyframe_graphstore::GraphStore;
 use polyframe_observe::Rng;
-use polyframe_sqlengine::{Engine, EngineConfig, ExecOptions};
+use polyframe_sqlengine::{Dialect, Engine, EngineConfig, ExecOptions};
 use std::sync::Arc;
 
 const CASES: usize = 24;
@@ -218,6 +220,47 @@ fn aggregates_agree_across_backends() {
                 af.backend()
             );
         }
+    }
+}
+
+/// `SUM` over Ints is exact on every store: two Ints just above 2^53 sum
+/// to the exact Int (an `f64` accumulator loses the low bits), and two
+/// Ints whose total overflows `i64` widen to the `Double` nearest it.
+/// Single node, eager, and both clusters, whose shards ship partial sums.
+#[test]
+fn int_sum_is_exact_on_every_store() {
+    let big = 1i64 << 53;
+    let records = vec![
+        record! {"id" => 0i64, "a" => big + 1, "b" => 1i64 << 62},
+        record! {"id" => 1i64, "a" => big + 2, "b" => 1i64 << 62},
+    ];
+    let (exact, widened) = (Value::Int((1 << 54) + 3), Value::Double(2f64.powi(63)));
+
+    let eager = EagerFrame::from_records(&records, &MemoryBudget::unlimited()).unwrap();
+    assert_eq!(eager.agg("a", AggKind::Sum).unwrap(), exact, "eager");
+    assert_eq!(eager.agg("b", AggKind::Sum).unwrap(), widened, "eager");
+
+    let mut frames = backends(&records);
+    for config in [EngineConfig::asterixdb(), EngineConfig::greenplum()] {
+        let cluster = Arc::new(SqlCluster::new(2, config.clone(), "id"));
+        cluster.create_dataset("T", "d", Some("id")).unwrap();
+        cluster.load("T", "d", records.clone()).unwrap();
+        let conn = if config.dialect == Dialect::Sql {
+            SqlClusterConnector::greenplum(cluster)
+        } else {
+            SqlClusterConnector::asterixdb(cluster)
+        };
+        frames.push(AFrame::new("T", "d", Arc::new(conn)).unwrap());
+    }
+    let mongo = Arc::new(MongoCluster::new(2));
+    mongo.create_collection("T.d").unwrap();
+    mongo.insert_many("T.d", records.clone()).unwrap();
+    frames.push(AFrame::new("T", "d", Arc::new(MongoClusterConnector::new(mongo))).unwrap());
+
+    for af in frames {
+        let sum = |attr: &str| af.col(attr).unwrap().sum().unwrap();
+        assert_eq!(sum("a"), exact, "{}", af.backend());
+        assert_eq!(sum("b"), widened, "{}", af.backend());
     }
 }
 
