@@ -1,34 +1,37 @@
 //! Sharded MongoDB ("mongos") cluster.
 
+use crate::coordinator::Coordinator;
 use crate::partition::shard_for;
-use crate::replicate::ReplicaStatus;
-use crate::resilience::{run_resilient, ShardOutcome, ShardPolicy};
-use crate::stats::{ExecMode, QueryStats, RecoveryCounters, StatsRecorder};
+use crate::resilience::ShardPolicy;
+use crate::stats::{ExecMode, QueryStats};
 use crate::topology::ShardSet;
 use polyframe_datamodel::{Record, Value};
-use polyframe_docstore::distributed::{
-    apply_stages_to_rows, merge_counts, merge_groups, merge_topk, partial_group, split,
-    MongoDistributed,
-};
-use polyframe_docstore::{DocError, DocStore, Result};
-use polyframe_observe::FaultPlan;
-use polyframe_storage::{CheckpointPolicy, RecoveryReport};
-use std::sync::atomic::{AtomicI64, Ordering};
-use std::sync::Arc;
-use std::time::{Duration, Instant};
+use polyframe_docstore::distributed::{apply_stages_to_rows, split};
+use polyframe_docstore::{assign_ids, DocStore, Result};
+use polyframe_observe::sync::Mutex;
+use std::ops::Deref;
+use std::time::Instant;
 
 /// A hash-partitioned cluster of document stores behind a mongos-style
-/// router.
+/// router. Dereferences to its [`Coordinator`] for the shard, fault,
+/// replication and stats calls every cluster shares.
 pub struct MongoCluster {
-    /// Shard primaries and their replica sets (fault sites
-    /// `mongo-cluster/shard[i]...`). `_id` routing is fixed modulo-`n`
-    /// (mongos-style), so unlike [`crate::SqlCluster`] there is no slot
-    /// table and no online split — but crash promotion and replica reads
-    /// work the same way.
-    shards: ShardSet<DocStore, ()>,
-    next_id: AtomicI64,
-    mode: ExecMode,
-    stats: StatsRecorder,
+    /// The coordinator over the shard primaries and their replica sets
+    /// (fault sites `mongo-cluster/shard[i]...`). `_id` routing is fixed
+    /// modulo-`n` (mongos-style), so unlike [`crate::SqlCluster`] there
+    /// is no slot table and no online split — but crash promotion and
+    /// replica reads work the same way.
+    coordinator: Coordinator<DocStore, ()>,
+    /// The next `_id` the router assigns (see [`assign_ids`]).
+    next_id: Mutex<i64>,
+}
+
+impl Deref for MongoCluster {
+    type Target = Coordinator<DocStore, ()>;
+
+    fn deref(&self) -> &Coordinator<DocStore, ()> {
+        &self.coordinator
+    }
 }
 
 impl MongoCluster {
@@ -39,51 +42,11 @@ impl MongoCluster {
 
     /// Build a cluster with an explicit dispatch mode.
     pub fn with_mode(n: usize, mode: ExecMode) -> MongoCluster {
+        let shards = ShardSet::new("mongo-cluster", n, (), DocStore::new);
         MongoCluster {
-            shards: ShardSet::new("mongo-cluster", n, (), DocStore::new),
-            next_id: AtomicI64::new(1),
-            mode,
-            stats: StatsRecorder::new(),
+            coordinator: Coordinator::new(shards, mode),
+            next_id: Mutex::new(1),
         }
-    }
-
-    /// Install (or clear) a fault-injection plan consulted before every
-    /// shard dispatch (sites `mongo-cluster/shard[i]`) and at the WAL
-    /// shipping / replica apply sites.
-    pub fn set_fault_plan(&self, plan: Option<Arc<FaultPlan>>) {
-        self.shards.set_fault_plan(plan);
-    }
-
-    /// The currently installed fault plan, if any.
-    pub fn fault_plan(&self) -> Option<Arc<FaultPlan>> {
-        self.shards.fault_plan()
-    }
-
-    /// Drain the accumulated simulated-parallel elapsed time
-    /// (`compile + max(shard) + merge` per query; see `crate::stats`).
-    pub fn take_simulated_elapsed(&self) -> Duration {
-        self.stats.take_simulated_elapsed()
-    }
-
-    /// Drain the raw per-query stats.
-    pub fn take_stats(&self) -> Vec<QueryStats> {
-        self.stats.take()
-    }
-
-    /// Peek at the stats of the most recent query without draining.
-    pub fn last_stats(&self) -> Option<QueryStats> {
-        self.stats.last()
-    }
-
-    /// Number of shards.
-    pub fn num_shards(&self) -> usize {
-        self.shards.num_shards()
-    }
-
-    /// The current primary store of shard `i`. The handle outlives
-    /// promotions — re-fetch to see the new primary.
-    pub fn shard(&self, i: usize) -> Arc<DocStore> {
-        self.shards.shard(i)
     }
 
     /// Create a collection on every shard.
@@ -94,76 +57,25 @@ impl MongoCluster {
         Ok(())
     }
 
-    /// Give every shard its own write-ahead log (fresh media per shard,
-    /// as each node of a real cluster owns its own disk) and recover
-    /// whatever committed state each log holds. A shard that crashes
-    /// mid-query afterwards rebuilds from its own log before rejoining.
-    pub fn enable_durability(&self, policy: CheckpointPolicy) -> Result<Vec<RecoveryReport>> {
-        self.shards.enable_durability(policy)
-    }
-
-    /// Give every shard `n` secondary replicas maintained by WAL
-    /// shipping (the mongos replica-set analogue): committed frames
-    /// ship in order, a crash promotes the freshest secondary replaying
-    /// only the committed-but-unshipped tail, and caught-up secondaries
-    /// can serve reads (see [`ShardPolicy::prefer_replica`]). Requires
-    /// durability.
-    pub fn enable_replication(&self, replicas_per_shard: usize) -> Result<()> {
-        self.shards.enable_replication(replicas_per_shard)
-    }
-
-    /// Per-shard replica status (cursor, lag, freshness), outer index =
-    /// shard. Shards without replication report an empty list.
-    pub fn replication_status(&self) -> Vec<Vec<ReplicaStatus>> {
-        self.shards.replication_status()
-    }
-
-    /// Off-critical-path repair: rebuild stale secondaries from their
-    /// own logs and drain lagging fresh ones from their primary's
-    /// committed log. Returns how many stale secondaries were rebuilt.
-    pub fn heal_replicas(&self) -> usize {
-        self.shards.heal_replicas()
-    }
-
-    /// Insert documents, assigning cluster-wide `_id`s and routing by
-    /// `_id` hash.
+    /// Insert documents, assigning cluster-wide `_id`s (the single-node
+    /// store's rule, [`assign_ids`], over the router's counter) and
+    /// routing by `_id` hash, one thread per shard.
     pub fn insert_many(
         &self,
         collection: &str,
         docs: impl IntoIterator<Item = Record>,
     ) -> Result<usize> {
-        // Held for reading across the whole insert so a promotion
-        // cannot swap a primary out from under an in-flight write.
-        let topo = self.shards.read();
-        let n = topo.shards.len();
-        let mut buckets: Vec<Vec<Record>> = (0..n).map(|_| Vec::new()).collect();
-        let mut total = 0;
-        for mut doc in docs {
-            if !doc.contains("_id") {
-                let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-                let mut with_id = Record::with_capacity(doc.len() + 1);
-                with_id.insert("_id", id);
-                for (k, v) in doc.iter() {
-                    with_id.insert(k.to_string(), v.clone());
-                }
-                doc = with_id;
-            }
-            let key = doc.get_or_missing("_id");
-            buckets[shard_for(&key, n)].push(doc);
-            total += 1;
+        let mut docs: Vec<Record> = docs.into_iter().collect();
+        {
+            let mut next_id = self.next_id.lock();
+            *next_id = assign_ids(&mut docs, *next_id);
         }
-        std::thread::scope(|scope| {
-            let mut handles = Vec::new();
-            for (shard, bucket) in topo.shards.iter().zip(buckets) {
-                let shard = Arc::clone(shard);
-                let collection = collection.to_string();
-                handles.push(scope.spawn(move || shard.insert_many(&collection, bucket)));
-            }
-            for h in handles {
-                h.join().expect("shard insert thread panicked")?;
-            }
-            Ok::<(), DocError>(())
-        })?;
+        let total = docs.len();
+        self.write(
+            docs,
+            |_, n, doc| shard_for(&doc.get_or_missing("_id"), n),
+            |shard, bucket| shard.insert_many(collection, bucket).map(drop),
+        )?;
         Ok(total)
     }
 
@@ -200,128 +112,32 @@ impl MongoCluster {
         pipeline_json: &str,
         policy: &ShardPolicy,
     ) -> Result<Vec<Value>> {
-        let compile_start = Instant::now();
-        let stages = polyframe_docstore::parse_pipeline(pipeline_json)?;
-        let strategy = split(&stages)?;
-        let compile = compile_start.elapsed();
-
-        match strategy {
-            MongoDistributed::Concat {
-                shard_stages,
-                limit,
-            } => {
-                let (mut scatter, recovery) =
-                    self.run_shards(collection, policy, move |shard, coll| {
-                        shard.aggregate_stages(coll, &shard_stages)
-                    })?;
-                let merge_start = Instant::now();
-                let parts = std::mem::take(&mut scatter.parts);
-                let mut rows: Vec<Value> = parts.into_iter().flatten().collect();
-                if let Some(n) = limit {
-                    rows.truncate(n as usize);
-                }
-                self.record(compile, merge_start.elapsed(), scatter, &recovery);
-                Ok(rows)
-            }
-            MongoDistributed::SumCount {
-                shard_stages,
-                name,
-                post,
-            } => {
-                let (mut scatter, recovery) =
-                    self.run_shards(collection, policy, move |shard, coll| {
-                        shard.aggregate_stages(coll, &shard_stages)
-                    })?;
-                let merge_start = Instant::now();
-                let parts = std::mem::take(&mut scatter.parts);
-                let merged = merge_counts(parts, &name);
-                let out = apply_stages_to_rows(merged, &post);
-                self.record(compile, merge_start.elapsed(), scatter, &recovery);
-                out
-            }
-            MongoDistributed::Regroup {
-                shard_stages,
-                id,
-                accs,
-                post,
-            } => {
-                // Each shard runs the pre-group prefix AND the partial
-                // grouping, so the reduction happens shard-side.
-                let accs_for_merge = accs.clone();
-                let (mut scatter, recovery) =
-                    self.run_shards(collection, policy, move |shard, coll| {
-                        let rows = shard.aggregate_stages(coll, &shard_stages)?;
-                        partial_group(rows, &id, &accs)
-                    })?;
-                let merge_start = Instant::now();
-                let parts = std::mem::take(&mut scatter.parts);
-                let merged = merge_groups(parts, &accs_for_merge)?;
-                let out = apply_stages_to_rows(merged, &post);
-                self.record(compile, merge_start.elapsed(), scatter, &recovery);
-                out
-            }
-            MongoDistributed::TopK {
-                shard_stages,
-                sort,
-                limit,
-                post,
-            } => {
-                let (mut scatter, recovery) =
-                    self.run_shards(collection, policy, move |shard, coll| {
-                        shard.aggregate_stages(coll, &shard_stages)
-                    })?;
-                let merge_start = Instant::now();
-                let parts = std::mem::take(&mut scatter.parts);
-                let merged = merge_topk(parts, &sort, limit);
-                let out = apply_stages_to_rows(merged, &post);
-                self.record(compile, merge_start.elapsed(), scatter, &recovery);
-                out
-            }
-        }
+        Ok(self
+            .aggregate_with_stats(collection, pipeline_json, policy)?
+            .0)
     }
 
-    fn record<T>(
-        &self,
-        compile: Duration,
-        merge: Duration,
-        scatter: ShardOutcome<T>,
-        recovery: &RecoveryCounters,
-    ) {
-        let mut stats = QueryStats {
-            compile,
-            shard_times: scatter.shard_times,
-            merge,
-            failovers: scatter.failovers,
-            dropped_shards: scatter.dropped_shards,
-            ..QueryStats::default()
-        };
-        recovery.fold_into(&mut stats);
-        self.stats.record(stats);
-    }
-
-    /// Run one unit of work per shard, timing each, with per-shard
-    /// failover under `policy`.
-    fn run_shards<F>(
+    /// [`MongoCluster::aggregate_with`], also returning this query's
+    /// stats. Every shard runs the pipeline's shard stages; the
+    /// coordinator runs its merge stages over their concatenated rows.
+    pub fn aggregate_with_stats(
         &self,
         collection: &str,
+        pipeline_json: &str,
         policy: &ShardPolicy,
-        work: F,
-    ) -> Result<(ShardOutcome<Vec<Value>>, RecoveryCounters)>
-    where
-        F: Fn(&DocStore, &str) -> Result<Vec<Value>> + Sync,
-    {
-        let recovery = RecoveryCounters::new();
-        let out = run_resilient(
-            self.num_shards(),
-            self.mode,
+    ) -> Result<(Vec<Value>, QueryStats)> {
+        let compile_start = Instant::now();
+        let stages = polyframe_docstore::parse_pipeline(pipeline_json)?;
+        let split = split(&stages)?;
+        let compile = compile_start.elapsed();
+        self.gather(
+            compile,
             policy,
-            DocError::is_transient,
-            |i| {
-                let store = self.shards.dispatch(i, policy, &recovery)?;
-                work(&store, collection)
+            |shard| shard.aggregate_stages(collection, &split.shard_stages),
+            |parts| {
+                apply_stages_to_rows(parts.into_iter().flatten().collect(), &split.merge_stages)
             },
-        )?;
-        Ok((out, recovery))
+        )
     }
 }
 
@@ -330,9 +146,16 @@ mod tests {
     use super::*;
     use polyframe_datamodel::record;
     use polyframe_docstore::DocError;
+    use polyframe_observe::FaultPlan;
+    use polyframe_storage::CheckpointPolicy;
+    use std::sync::Arc;
 
     fn cluster(n: usize) -> MongoCluster {
-        let c = MongoCluster::new(n);
+        cluster_with(n, ExecMode::auto(n))
+    }
+
+    fn cluster_with(n: usize, mode: ExecMode) -> MongoCluster {
+        let c = MongoCluster::with_mode(n, mode);
         c.create_collection("d").unwrap();
         c.insert_many(
             "d",
@@ -536,17 +359,60 @@ mod tests {
 
     #[test]
     fn agrees_with_single_shard() {
-        let single = cluster(1);
-        let multi = cluster(4);
-        for q in [
+        // `val = 7` holds on one document, so on one shard: the others
+        // send empty partials.
+        let ordered = [
             r#"[{"$match":{}},{"$count":"count"}]"#,
             r#"[{"$match":{}},{"$group":{"_id":{},"avg":{"$avg":"$val"}}},{"$project":{"_id":0}}]"#,
-        ] {
-            assert_eq!(
-                single.aggregate("d", q).unwrap(),
-                multi.aggregate("d", q).unwrap(),
-                "{q}"
-            );
+            r#"[{"$match":{"$expr":{"$eq":["$val",7]}}},{"$count":"count"}]"#,
+            r#"[{"$match":{"$expr":{"$eq":["$val",7]}}},{"$group":{"_id":{},"avg":{"$avg":"$val"},"min":{"$min":"$val"},"sd":{"$stdDevPop":"$val"}}}]"#,
+            // `$sort` + `$limit` with ties across shards.
+            r#"[{"$sort":{"grp":-1}},{"$project":{"grp":1,"_id":0}},{"$limit":9}]"#,
+            // `$sort` with no `$limit`.
+            r#"[{"$match":{}},{"$sort":{"val":-1}},{"$project":{"_id":0}}]"#,
+        ];
+        // A `$limit` larger than the collection: concatenation order is
+        // shard order, so compare the document sets.
+        let unordered = [r#"[{"$match":{}},{"$limit":1000}]"#];
+        for mode in [ExecMode::Threads, ExecMode::Sequential] {
+            let single = cluster_with(1, mode);
+            let multi = cluster_with(4, mode);
+            for q in ordered {
+                assert_eq!(
+                    single.aggregate("d", q).unwrap(),
+                    multi.aggregate("d", q).unwrap(),
+                    "{mode:?} {q}"
+                );
+            }
+            for q in unordered {
+                let mut a = single.aggregate("d", q).unwrap();
+                let mut b = multi.aggregate("d", q).unwrap();
+                a.sort_by(polyframe_datamodel::cmp_total);
+                b.sort_by(polyframe_datamodel::cmp_total);
+                assert_eq!(a.len(), 100, "{q}");
+                assert_eq!(a, b, "{mode:?} {q}");
+            }
         }
+    }
+
+    #[test]
+    fn assigned_ids_skip_explicit_ones() {
+        let c = MongoCluster::new(3);
+        c.create_collection("c").unwrap();
+        c.insert_many(
+            "c",
+            [record! {"_id" => 1i64, "a" => 1i64}, record! {"a" => 2i64}],
+        )
+        .unwrap();
+        c.insert_many("c", [record! {"_id" => 5i64}]).unwrap();
+        c.insert_many("c", [record! {"a" => 3i64}]).unwrap();
+        let mut ids: Vec<Value> = c
+            .aggregate("c", r#"[{"$match":{}},{"$project":{"_id":1}}]"#)
+            .unwrap()
+            .iter()
+            .map(|d| d.get_path("_id"))
+            .collect();
+        ids.sort_by(polyframe_datamodel::cmp_total);
+        assert_eq!(ids, [1i64, 2, 5, 6].map(Value::Int));
     }
 }

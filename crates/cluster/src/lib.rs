@@ -9,14 +9,24 @@
 //! a sharded MongoDB ("mongos").
 //!
 //! Each shard is a full engine instance owning a hash partition of the
-//! data; shard work runs on one OS thread per shard (the stand-in for one
-//! EC2 node per shard), and only the merge step is serial. The merge
-//! protocols come from the substrates' `distributed` modules:
+//! data. Every distributed query is a pair: the part each shard runs and
+//! the part the coordinator runs over the shards' concatenated results.
+//! Both front-ends ([`SqlCluster`], [`MongoCluster`]) split a query into
+//! that pair and hand it to one shared [`Coordinator`], which scatters the
+//! shard part, merges, and records [`QueryStats`]. Shard work runs on one
+//! OS thread per shard under [`ExecMode::Threads`] (the stand-in for one
+//! EC2 node per shard); under [`ExecMode::Sequential`], which
+//! [`ExecMode::auto`] picks when the host has fewer cores than shards,
+//! the shards run one after another and the stats report the simulated
+//! critical path instead. The merge step is serial. The splits:
 //!
-//! * streaming pipelines → concatenate (+ limit),
-//! * scalar aggregates → partial states, merge, finalize,
-//! * group-by → shard-local partial groups, coordinator re-group,
-//! * sort + limit → shard-local top-k, coordinator merge sort,
+//! * streaming pipelines → run everywhere; merge = concatenate (+ limit);
+//! * aggregates and `$group` → shard-side partial states (SQL
+//!   `AggMode::Partial`, a partial-mode `$group`); merge = a final-mode
+//!   aggregate over the partials, keyed on the group columns or `_id`;
+//! * `$count` → shard-side counts; merge = a `$group` summing them;
+//! * sort + limit → shard-side top-k; merge = the same sort + limit,
+//!   ties in shard order;
 //! * join + count → parallel **repartition join** over index keys
 //!   (SQL engines), and a hard **error** for sharded MongoDB `$lookup`
 //!   (the paper could not run expression 12 on distributed MongoDB).
@@ -34,6 +44,7 @@
 //! shard can be split in two online, cutting over at a pinned LSN with
 //! byte-identical results.
 
+pub mod coordinator;
 pub mod doc_cluster;
 pub mod partition;
 pub mod replicate;
@@ -42,6 +53,7 @@ pub mod sql_cluster;
 pub mod stats;
 mod topology;
 
+pub use coordinator::Coordinator;
 pub use doc_cluster::MongoCluster;
 pub use partition::{shard_for, ShardMap, SHARD_SLOTS};
 pub use replicate::{NodeError, Promotion, ReplicaNode, ReplicaSet, ReplicaStatus};

@@ -164,20 +164,7 @@ where
         }
     };
 
-    let runs: Vec<ShardRun<T, E>> = match mode {
-        ExecMode::Threads => std::thread::scope(|scope| {
-            let run_one = &run_one;
-            let handles: Vec<_> = (0..shards)
-                .map(|i| scope.spawn(move || run_one(i)))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("shard thread panicked"))
-                .collect()
-        }),
-        ExecMode::Sequential => (0..shards).map(run_one).collect(),
-    };
-
+    let runs = mode.fan_out(0..shards, run_one);
     let mut out = ShardOutcome {
         parts: Vec::with_capacity(shards),
         shard_times: Vec::with_capacity(shards),

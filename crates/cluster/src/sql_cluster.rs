@@ -1,31 +1,37 @@
 //! Sharded SQL/SQL++ cluster (AsterixDB cluster / Greenplum).
 
+use crate::coordinator::Coordinator;
 use crate::partition::{shard_for, ShardMap, SHARD_SLOTS};
-use crate::replicate::ReplicaStatus;
-use crate::resilience::{run_resilient, ShardOutcome, ShardPolicy};
-use crate::stats::{ExecMode, QueryStats, RecoveryCounters, StatsRecorder};
+use crate::resilience::ShardPolicy;
+use crate::stats::{ExecMode, QueryStats};
 use crate::topology::ShardSet;
 use polyframe_datamodel::{cmp_total, Record, Value};
-use polyframe_observe::FaultPlan;
-use polyframe_sqlengine::plan::distributed::{
-    merge_aggregate_parts, merge_concat, merge_topk, split, DistributedQuery,
-};
-use polyframe_sqlengine::plan::logical::LogicalPlan;
+use polyframe_sqlengine::plan::distributed::{split, DistributedQuery};
 use polyframe_sqlengine::{Engine, EngineConfig, EngineError, Result};
 use polyframe_storage::wal::DurableOp;
-use polyframe_storage::{CheckpointPolicy, RecoveryReport};
+use polyframe_storage::CheckpointPolicy;
+use std::ops::Deref;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// A hash-partitioned cluster of SQL engines.
+/// A hash-partitioned cluster of SQL engines. Dereferences to its
+/// [`Coordinator`] for the shard, fault, replication and stats calls
+/// every cluster shares.
 pub struct SqlCluster {
-    /// Shard leaders, replica sets and the slot table routing keys to
-    /// shards (fault sites `sql-cluster/shard[i]...`).
-    shards: ShardSet<Engine, ShardMap>,
+    /// The coordinator over the shard leaders, their replica sets and
+    /// the slot table routing keys to shards (fault sites
+    /// `sql-cluster/shard[i]...`).
+    coordinator: Coordinator<Engine, ShardMap>,
     /// Attribute used to place records on shards.
     partition_key: String,
-    mode: ExecMode,
-    stats: StatsRecorder,
+}
+
+impl Deref for SqlCluster {
+    type Target = Coordinator<Engine, ShardMap>;
+
+    fn deref(&self) -> &Coordinator<Engine, ShardMap> {
+        &self.coordinator
+    }
 }
 
 impl SqlCluster {
@@ -46,54 +52,13 @@ impl SqlCluster {
         // (sequential dispatch hands each shard the full budget instead).
         // Follower replicas and split-off shards reuse the same config.
         config.exec.workers = mode.workers_per_shard(n);
+        let shards = ShardSet::new("sql-cluster", n, ShardMap::new(n), move || {
+            Engine::new(config.clone())
+        });
         SqlCluster {
-            shards: ShardSet::new("sql-cluster", n, ShardMap::new(n), move || {
-                Engine::new(config.clone())
-            }),
+            coordinator: Coordinator::new(shards, mode),
             partition_key: partition_key.into(),
-            mode,
-            stats: StatsRecorder::new(),
         }
-    }
-
-    /// Install (or clear) a fault-injection plan consulted before every
-    /// shard dispatch (sites `sql-cluster/shard[i]`) and at the WAL
-    /// shipping / replica apply sites.
-    pub fn set_fault_plan(&self, plan: Option<Arc<FaultPlan>>) {
-        self.shards.set_fault_plan(plan);
-    }
-
-    /// The currently installed fault plan, if any.
-    pub fn fault_plan(&self) -> Option<Arc<FaultPlan>> {
-        self.shards.fault_plan()
-    }
-
-    /// Number of shards.
-    pub fn num_shards(&self) -> usize {
-        self.shards.num_shards()
-    }
-
-    /// The current leader engine of shard `i` (tests, benches). The
-    /// handle outlives promotions — re-fetch to see the new leader.
-    pub fn shard(&self, i: usize) -> Arc<Engine> {
-        self.shards.shard(i)
-    }
-
-    /// Drain the accumulated simulated-parallel elapsed time (see
-    /// [`crate::stats`]): the sum over recorded queries of
-    /// `compile + max(shard) + merge`.
-    pub fn take_simulated_elapsed(&self) -> Duration {
-        self.stats.take_simulated_elapsed()
-    }
-
-    /// Drain the raw per-query stats.
-    pub fn take_stats(&self) -> Vec<QueryStats> {
-        self.stats.take()
-    }
-
-    /// Peek at the stats of the most recent query without draining.
-    pub fn last_stats(&self) -> Option<QueryStats> {
-        self.stats.last()
     }
 
     /// Create a dataset on every shard.
@@ -109,38 +74,6 @@ impl SqlCluster {
         Ok(())
     }
 
-    /// Give every shard its own write-ahead log (fresh media per shard,
-    /// as each node of a real cluster owns its own disk) and recover
-    /// whatever committed state each log holds. A shard that crashes
-    /// mid-query afterwards rebuilds from its own log before rejoining.
-    pub fn enable_durability(&self, policy: CheckpointPolicy) -> Result<Vec<RecoveryReport>> {
-        self.shards.enable_durability(policy)
-    }
-
-    /// Give every shard `n` follower replicas maintained by WAL
-    /// shipping: each committed frame on a leader is shipped in order to
-    /// its followers, a crash promotes the freshest follower (replaying
-    /// only the committed-but-unshipped tail), and fully caught-up
-    /// followers can serve snapshot reads (see
-    /// [`ShardPolicy::prefer_replica`]). Requires durability.
-    pub fn enable_replication(&self, replicas_per_shard: usize) -> Result<()> {
-        self.shards.enable_replication(replicas_per_shard)
-    }
-
-    /// Per-shard replica status (cursor, lag, freshness), outer index =
-    /// shard. Shards without replication report an empty list.
-    pub fn replication_status(&self) -> Vec<Vec<ReplicaStatus>> {
-        self.shards.replication_status()
-    }
-
-    /// Off-critical-path repair: rebuild stale followers (demoted
-    /// ex-leaders, apply-faulted replicas) from their own logs and drain
-    /// lagging fresh followers from their leader's committed log.
-    /// Returns how many stale followers were rebuilt.
-    pub fn heal_replicas(&self) -> usize {
-        self.shards.heal_replicas()
-    }
-
     /// Create a secondary index on every shard.
     pub fn create_index(&self, namespace: &str, dataset: &str, attribute: &str) -> Result<()> {
         for s in &self.shards.read().shards {
@@ -149,34 +82,19 @@ impl SqlCluster {
         Ok(())
     }
 
-    /// Hash-partition records across the shards and load them. The
-    /// topology is held for reading across the whole load so a
-    /// promotion or split cannot swap a leader out from under an
-    /// in-flight write.
+    /// Hash-partition records across the shards and load them, one
+    /// thread per shard.
     pub fn load(
         &self,
         namespace: &str,
         dataset: &str,
         records: impl IntoIterator<Item = Record>,
     ) -> Result<()> {
-        let topo = self.shards.read();
-        let n = topo.shards.len();
-        let mut buckets: Vec<Vec<Record>> = (0..n).map(|_| Vec::new()).collect();
-        for rec in records {
-            let key = rec.get_or_missing(&self.partition_key);
-            buckets[topo.routing.shard_of(&key)].push(rec);
-        }
-        std::thread::scope(|scope| {
-            let mut handles = Vec::new();
-            for (shard, bucket) in topo.shards.iter().zip(buckets) {
-                let shard = Arc::clone(shard);
-                handles.push(scope.spawn(move || shard.load(namespace, dataset, bucket)));
-            }
-            for h in handles {
-                h.join().expect("shard load thread panicked")?;
-            }
-            Ok(())
-        })
+        self.write(
+            records,
+            |routing, _, rec| routing.shard_of(&rec.get_or_missing(&self.partition_key)),
+            |shard, bucket| shard.load(namespace, dataset, bucket),
+        )
     }
 
     /// Total records across shards.
@@ -333,180 +251,69 @@ impl SqlCluster {
     /// resilience policy (failover re-dispatch and, on opt-in, partial
     /// results from the surviving shards).
     pub fn query_with(&self, sql: &str, policy: &ShardPolicy) -> Result<Vec<Value>> {
+        Ok(self.query_with_stats(sql, policy)?.0)
+    }
+
+    /// [`SqlCluster::query_with`], also returning this query's stats.
+    pub fn query_with_stats(
+        &self,
+        sql: &str,
+        policy: &ShardPolicy,
+    ) -> Result<(Vec<Value>, QueryStats)> {
         let compile_start = Instant::now();
         // Compile once (the coordinator's plan; every shard shares the same
         // catalog shape).
         let logical = self.shard(0).compile_to_logical(sql)?;
-        let strategy = split(&logical)?;
+        let query = split(&logical)?;
         let compile = compile_start.elapsed();
 
-        match strategy {
-            DistributedQuery::Concat { shard_plan, limit } => {
-                let (mut scatter, recovery) = self.scatter(&shard_plan, policy)?;
-                let merge_start = Instant::now();
-                let parts = std::mem::take(&mut scatter.parts);
-                let out = merge_concat(parts, limit);
-                self.record(compile, merge_start.elapsed(), scatter, &recovery);
-                Ok(out)
-            }
-            DistributedQuery::ScalarAgg {
-                shard_plan,
-                aggs,
-                project,
-            } => {
-                let (mut scatter, recovery) = self.scatter(&shard_plan, policy)?;
-                let merge_start = Instant::now();
-                let parts = std::mem::take(&mut scatter.parts);
-                let out = merge_aggregate_parts(parts, &[], &aggs, &project);
-                self.record(compile, merge_start.elapsed(), scatter, &recovery);
-                out
-            }
-            DistributedQuery::GroupAgg {
-                shard_plan,
-                group_names,
-                aggs,
-                project,
-            } => {
-                let (mut scatter, recovery) = self.scatter(&shard_plan, policy)?;
-                let merge_start = Instant::now();
-                let parts = std::mem::take(&mut scatter.parts);
-                let out = merge_aggregate_parts(parts, &group_names, &aggs, &project);
-                self.record(compile, merge_start.elapsed(), scatter, &recovery);
-                out
-            }
-            DistributedQuery::TopK {
-                shard_plan,
-                keys,
-                limit,
-                post_project,
-            } => {
-                let (mut scatter, recovery) = self.scatter(&shard_plan, policy)?;
-                let merge_start = Instant::now();
-                let parts = std::mem::take(&mut scatter.parts);
-                let out = merge_topk(parts, &keys, limit, post_project.as_ref());
-                self.record(compile, merge_start.elapsed(), scatter, &recovery);
-                out
-            }
-            DistributedQuery::JoinCount {
-                left,
-                right,
-                output,
-                project,
-            } => {
-                let (count, merge, extract, recovery) =
-                    self.repartition_join_count(&left, &right, policy)?;
-                let mut rec = Record::new();
-                rec.insert(output, Value::Int(count as i64));
-                let row = Value::Obj(rec);
-                let projected = polyframe_sqlengine::exec::project_row(&project, &row)?;
-                let mut stats = QueryStats {
-                    compile,
-                    shard_times: extract.shard_times,
-                    merge,
-                    failovers: extract.failovers,
-                    dropped_shards: extract.dropped_shards,
-                    ..QueryStats::default()
-                };
-                recovery.fold_into(&mut stats);
-                self.stats.record(stats);
-                Ok(vec![projected])
-            }
+        match query.shard_plan() {
+            Some(plan) => self.gather(
+                compile,
+                policy,
+                |engine| engine.execute_logical(plan),
+                |parts| query.merge(parts),
+            ),
+            None => self.repartition_join_count(compile, &query, policy),
         }
     }
 
-    fn record<T>(
-        &self,
-        compile: Duration,
-        merge: Duration,
-        scatter: ShardOutcome<T>,
-        recovery: &RecoveryCounters,
-    ) {
-        let mut stats = QueryStats {
-            compile,
-            shard_times: scatter.shard_times,
-            merge,
-            failovers: scatter.failovers,
-            dropped_shards: scatter.dropped_shards,
-            ..QueryStats::default()
-        };
-        recovery.fold_into(&mut stats);
-        self.stats.record(stats);
-    }
-
-    /// Run a logical plan on every shard, timing each shard's work, with
-    /// per-shard failover under `policy`.
-    fn scatter(
-        &self,
-        plan: &LogicalPlan,
-        policy: &ShardPolicy,
-    ) -> Result<(ShardOutcome<Vec<Value>>, RecoveryCounters)> {
-        let recovery = RecoveryCounters::new();
-        let out = run_resilient(
-            self.num_shards(),
-            self.mode,
-            policy,
-            EngineError::is_transient,
-            |i| {
-                self.shards
-                    .dispatch(i, policy, &recovery)?
-                    .execute_logical(plan)
-            },
-        )?;
-        Ok((out, recovery))
-    }
-
     /// Parallel repartition join + count over two datasets' join-key
-    /// indexes. Returns `(count, merge critical path, extraction outcome)`:
+    /// indexes:
     ///
     /// 1. each shard extracts its sorted join keys (index-only) for both
     ///    sides and buckets them by hash — one unit of shard work, run
     ///    with per-shard failover under `policy`;
     /// 2. one task per partition merges its left/right keys and counts
-    ///    pair products — the merge critical path is the slowest partition.
+    ///    pair products — the merge critical path is the slowest
+    ///    partition — and `query` merges the partition counts.
     fn repartition_join_count(
         &self,
-        left: &(String, String, String),
-        right: &(String, String, String),
+        compile: Duration,
+        query: &DistributedQuery,
         policy: &ShardPolicy,
-    ) -> Result<(usize, Duration, ShardOutcome<()>, RecoveryCounters)> {
+    ) -> Result<(Vec<Value>, QueryStats)> {
+        let DistributedQuery::JoinCount { left, right, .. } = query else {
+            return Err(EngineError::plan("a repartition join needs a join count"));
+        };
         let n = self.num_shards();
-        let recovery = RecoveryCounters::new();
 
         // Phase 1: per-shard key extraction + bucketing (both sides).
-        type Buckets = Vec<Vec<Value>>;
-        let extract_one = |shard: &Engine| -> Result<(Buckets, Buckets)> {
-            let bucketize = |keys: Vec<Value>| {
-                let mut buckets: Vec<Vec<Value>> = (0..n).map(|_| Vec::new()).collect();
-                for k in keys {
-                    let b = shard_for(&k, n);
-                    buckets[b].push(k);
-                }
-                buckets
-            };
+        let bucketize = |keys: Vec<Value>| {
+            let mut buckets: Vec<Vec<Value>> = (0..n).map(|_| Vec::new()).collect();
+            for k in keys {
+                buckets[shard_for(&k, n)].push(k);
+            }
+            buckets
+        };
+        let (mut extract, recovery) = self.scatter(policy, |shard| {
             let l = bucketize(shard.index_keys(&left.0, &left.1, &left.2)?);
             let r = bucketize(shard.index_keys(&right.0, &right.1, &right.2)?);
             Ok((l, r))
-        };
-
-        let ShardOutcome {
-            parts: per_shard,
-            shard_times,
-            failovers,
-            dropped_shards,
-        } = run_resilient(n, self.mode, policy, EngineError::is_transient, |i| {
-            let engine = self.shards.dispatch(i, policy, &recovery)?;
-            extract_one(&engine)
         })?;
-        let extract = ShardOutcome {
-            parts: Vec::new(),
-            shard_times,
-            failovers,
-            dropped_shards,
-        };
-
         let mut left_parts: Vec<Vec<Value>> = (0..n).map(|_| Vec::new()).collect();
         let mut right_parts: Vec<Vec<Value>> = (0..n).map(|_| Vec::new()).collect();
-        for (lbuckets, rbuckets) in per_shard {
+        for (lbuckets, rbuckets) in std::mem::take(&mut extract.parts) {
             for (i, b) in lbuckets.into_iter().enumerate() {
                 left_parts[i].extend(b);
             }
@@ -516,41 +323,22 @@ impl SqlCluster {
         }
 
         // Phase 2: per-partition merge counts; critical path = slowest.
-        let mut count = 0usize;
-        let mut merge_critical = Duration::ZERO;
-        match self.mode {
-            ExecMode::Threads => {
-                let results: Vec<(usize, Duration)> = std::thread::scope(|scope| {
-                    let mut handles = Vec::new();
-                    for (mut l, mut r) in left_parts.into_iter().zip(right_parts) {
-                        handles.push(scope.spawn(move || {
-                            let start = Instant::now();
-                            l.sort_by(cmp_total);
-                            r.sort_by(cmp_total);
-                            (merge_count(&l, &r), start.elapsed())
-                        }));
-                    }
-                    handles
-                        .into_iter()
-                        .map(|h| h.join().expect("join thread panicked"))
-                        .collect()
-                });
-                for (c, t) in results {
-                    count += c;
-                    merge_critical = merge_critical.max(t);
-                }
-            }
-            ExecMode::Sequential => {
-                for (mut l, mut r) in left_parts.into_iter().zip(right_parts) {
+        let partitions =
+            self.mode
+                .fan_out(left_parts.into_iter().zip(right_parts), |(mut l, mut r)| {
                     let start = Instant::now();
                     l.sort_by(cmp_total);
                     r.sort_by(cmp_total);
-                    count += merge_count(&l, &r);
-                    merge_critical = merge_critical.max(start.elapsed());
-                }
-            }
-        }
-        Ok((count, merge_critical, extract, recovery))
+                    (merge_count(&l, &r), start.elapsed())
+                });
+        let merge = partitions.iter().map(|(_, t)| *t).max().unwrap_or_default();
+        let counts = partitions
+            .into_iter()
+            .map(|(c, _)| vec![Value::Int(c as i64)])
+            .collect();
+        let rows = query.merge(counts);
+        let stats = self.record(compile, merge, extract, &recovery);
+        Ok((rows?, stats))
     }
 
     /// EXPLAIN helper: how the coordinator would distribute `sql`.
@@ -602,9 +390,14 @@ pub type SqlClusterError = EngineError;
 mod tests {
     use super::*;
     use polyframe_datamodel::record;
+    use polyframe_observe::FaultPlan;
 
     fn cluster(n: usize) -> SqlCluster {
-        let c = SqlCluster::new(n, EngineConfig::asterixdb(), "id");
+        cluster_with(n, ExecMode::auto(n))
+    }
+
+    fn cluster_with(n: usize, mode: ExecMode) -> SqlCluster {
+        let c = SqlCluster::with_mode(n, EngineConfig::asterixdb(), "id", mode);
         c.create_dataset("Test", "Users", Some("id")).unwrap();
         c.load(
             "Test",
@@ -715,14 +508,43 @@ mod tests {
 
     #[test]
     fn results_agree_with_single_shard() {
-        let single = cluster(1);
-        let multi = cluster(4);
-        for q in [
-            "SELECT VALUE COUNT(*) FROM Test.Users",
-            "SELECT MIN(val) FROM (SELECT val FROM (SELECT VALUE t FROM Test.Users t) t) t",
-            "SELECT grp, COUNT(grp) AS cnt FROM (SELECT VALUE t FROM Test.Users t) t GROUP BY grp",
-        ] {
-            assert_eq!(single.query(q).unwrap(), multi.query(q).unwrap(), "{q}");
+        // A filter only one shard satisfies: the other shards send empty
+        // partials.
+        let one = "(SELECT VALUE t FROM (SELECT VALUE t FROM Test.Users t) t WHERE t.id = 7)";
+        let ordered = [
+            "SELECT VALUE COUNT(*) FROM Test.Users".to_string(),
+            "SELECT MIN(val) FROM (SELECT val FROM (SELECT VALUE t FROM Test.Users t) t) t"
+                .to_string(),
+            "SELECT grp, COUNT(grp) AS cnt FROM (SELECT VALUE t FROM Test.Users t) t GROUP BY grp"
+                .to_string(),
+            format!("SELECT VALUE COUNT(*) FROM {one} t"),
+            format!("SELECT AVG(val) FROM (SELECT val FROM {one} t) t"),
+            format!("SELECT MIN(val) FROM (SELECT val FROM {one} t) t"),
+            // ORDER BY ... LIMIT with ties across shards.
+            "SELECT grp FROM (SELECT VALUE t FROM Test.Users t) t ORDER BY grp DESC LIMIT 9"
+                .to_string(),
+        ];
+        // A LIMIT larger than the table: concatenation order is shard
+        // order, so compare the row sets.
+        let unordered =
+            ["SELECT id, grp FROM (SELECT VALUE t FROM Test.Users t) t LIMIT 1000".to_string()];
+        for mode in [ExecMode::Threads, ExecMode::Sequential] {
+            let single = cluster_with(1, mode);
+            let multi = cluster_with(4, mode);
+            for q in &ordered {
+                assert_eq!(
+                    single.query(q).unwrap(),
+                    multi.query(q).unwrap(),
+                    "{mode:?} {q}"
+                );
+            }
+            for q in &unordered {
+                let (mut a, mut b) = (single.query(q).unwrap(), multi.query(q).unwrap());
+                a.sort_by(cmp_total);
+                b.sort_by(cmp_total);
+                assert_eq!(a.len(), 100, "{q}");
+                assert_eq!(a, b, "{mode:?} {q}");
+            }
         }
     }
 

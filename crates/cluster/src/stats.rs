@@ -48,6 +48,36 @@ impl ExecMode {
             ExecMode::Sequential => cores.max(1),
         }
     }
+
+    /// Run `task` on every item and return the results in item order:
+    /// one OS thread per item under [`ExecMode::Threads`] (the first
+    /// item included — none runs on the calling thread), one after
+    /// another under [`ExecMode::Sequential`]. A panicking task re-raises
+    /// its panic on the caller.
+    pub fn fan_out<I, O>(
+        self,
+        items: impl IntoIterator<Item = I>,
+        task: impl Fn(I) -> O + Sync,
+    ) -> Vec<O>
+    where
+        I: Send,
+        O: Send,
+    {
+        match self {
+            ExecMode::Threads => std::thread::scope(|scope| {
+                let task = &task;
+                let handles: Vec<_> = items
+                    .into_iter()
+                    .map(|item| scope.spawn(move || task(item)))
+                    .collect();
+                handles
+                    .into_iter()
+                    .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+                    .collect()
+            }),
+            ExecMode::Sequential => items.into_iter().map(task).collect(),
+        }
+    }
 }
 
 /// Timing breakdown of one distributed query.

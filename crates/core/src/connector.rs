@@ -7,7 +7,8 @@
 //! trait (plus, usually, a configuration file) is all a new backend needs.
 //!
 //! The execution surface is request-based: callers build a
-//! [`QueryRequest`] (query text, target dataset, [`ExecPolicy`]) and call
+//! [`QueryRequest`] (query text, target dataset,
+//! [`ExecPolicy`](crate::request::ExecPolicy)) and call
 //! [`DatabaseConnector::execute`], which drives the single-attempt
 //! [`DatabaseConnector::dispatch`] through the shared resilience driver
 //! [`execute_request`] — retry with exponential backoff and deterministic
@@ -251,19 +252,17 @@ fn shard_policy(req: &QueryRequest) -> ShardPolicy {
 /// Fold a cluster query's outcome into its `execute` span: row/shard
 /// counts, the simulated critical path, failover/partial metrics, and
 /// one `shard[i]` child per shard (shared by both cluster connectors).
-fn fold_cluster_stats(span: &mut Span, rows_out: usize, shards: usize, stats: Option<QueryStats>) {
+fn fold_cluster_stats(span: &mut Span, rows_out: usize, stats: &QueryStats) {
     span.set_metric("rows_out", rows_out as i64);
-    span.set_metric("shards", shards as i64);
-    if let Some(stats) = stats {
-        span.set_metric(
-            "simulated_wall_ns",
-            stats.simulated_wall().as_nanos() as i64,
-        );
-        span.set_metric("failovers", stats.failovers as i64);
-        span.set_metric("partial_shards", stats.dropped_shards.len() as i64);
-        for child in stats.to_spans() {
-            span.push_child(child);
-        }
+    span.set_metric("shards", stats.shard_times.len() as i64);
+    span.set_metric(
+        "simulated_wall_ns",
+        stats.simulated_wall().as_nanos() as i64,
+    );
+    span.set_metric("failovers", stats.failovers as i64);
+    span.set_metric("partial_shards", stats.dropped_shards.len() as i64);
+    for child in stats.to_spans() {
+        span.push_child(child);
     }
 }
 
@@ -479,16 +478,11 @@ impl DatabaseConnector for SqlClusterConnector {
 
     fn dispatch(&self, req: &QueryRequest) -> Result<QueryResponse> {
         let mut timer = SpanTimer::start("execute");
-        let rows = self
+        let (rows, stats) = self
             .cluster
-            .query_with(&req.query, &shard_policy(req))
+            .query_with_stats(&req.query, &shard_policy(req))
             .map_err(store_err)?;
-        fold_cluster_stats(
-            timer.span_mut(),
-            rows.len(),
-            self.cluster.num_shards(),
-            self.cluster.last_stats(),
-        );
+        fold_cluster_stats(timer.span_mut(), rows.len(), &stats);
         Ok(QueryResponse::new(rows, timer.finish()))
     }
 
@@ -525,16 +519,11 @@ impl DatabaseConnector for MongoClusterConnector {
     fn dispatch(&self, req: &QueryRequest) -> Result<QueryResponse> {
         let target = mongo_rules::target(&req.namespace, &req.collection);
         let mut timer = SpanTimer::start("execute");
-        let rows = self
+        let (rows, stats) = self
             .cluster
-            .aggregate_with(&target, &req.query, &shard_policy(req))
+            .aggregate_with_stats(&target, &req.query, &shard_policy(req))
             .map_err(store_err)?;
-        fold_cluster_stats(
-            timer.span_mut(),
-            rows.len(),
-            self.cluster.num_shards(),
-            self.cluster.last_stats(),
-        );
+        fold_cluster_stats(timer.span_mut(), rows.len(), &stats);
         Ok(QueryResponse::new(rows, timer.finish()))
     }
 

@@ -32,4 +32,4 @@ pub mod store;
 
 pub use error::{DocError, Result};
 pub use pipeline::{parse_pipeline, Stage};
-pub use store::DocStore;
+pub use store::{assign_ids, DocStore};

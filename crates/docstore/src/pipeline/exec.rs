@@ -7,7 +7,7 @@
 use crate::error::{DocError, Result};
 use crate::pipeline::expr::{self, truthy, CmpOp, MongoExpr, Vars};
 use crate::pipeline::optimizer::{find_downstream_limit, PhysicalPipeline, Source};
-use crate::pipeline::{Accum, GroupId, ProjectItem, Stage};
+use crate::pipeline::{Accum, GroupId, GroupMode, ProjectItem, Stage};
 use polyframe_datamodel::{cmp_total, NumericSum, Record, SortKey, TopK, Value};
 use polyframe_storage::{Direction, ScanRange, Table};
 use std::cmp::Ordering;
@@ -167,8 +167,8 @@ fn apply_stage<'b>(
             }
             Ok(Value::Obj(rec))
         }))),
-        Stage::Group { id, accs } => {
-            let out = run_group(stream, id, accs, vars)?;
+        Stage::Group { id, accs, mode } => {
+            let out = run_group(stream, id, accs, *mode, vars)?;
             Ok(Box::new(out.into_iter().map(Ok)))
         }
         Stage::Sort(_) => unreachable!("`$sort` runs in apply_stages"),
@@ -487,12 +487,14 @@ impl GroupAcc {
     }
 }
 
-/// Run a `$group` stage over a stream. Public so the distributed layer can
-/// reuse the exact semantics.
+/// Run a `$group` stage over a stream in `mode` (see [`GroupMode`]).
+/// Groups come out in key order; `_id: {}` over empty input emits
+/// nothing (MongoDB).
 pub fn run_group(
     stream: DocIter<'_>,
     id: &GroupId,
     accs: &[(String, Accum)],
+    mode: GroupMode,
     vars: &Vars,
 ) -> Result<Vec<Value>> {
     let fresh = || -> Vec<GroupAcc> { accs.iter().map(|(_, a)| GroupAcc::new(a)).collect() };
@@ -500,9 +502,10 @@ pub fn run_group(
 
     for doc in stream {
         let doc = doc?;
-        let key = match id {
-            GroupId::Empty => OrdKey(vec![]),
-            GroupId::Keys(keys) => {
+        let key = match (mode, id) {
+            (GroupMode::Final, _) => OrdKey(vec![doc.get_path("_id")]),
+            (_, GroupId::Empty) => OrdKey(vec![]),
+            (_, GroupId::Keys(keys)) => {
                 let mut kv = Vec::with_capacity(keys.len());
                 for (_, e) in keys {
                     kv.push(expr::eval(e, &doc, vars)?);
@@ -511,36 +514,36 @@ pub fn run_group(
             }
         };
         let slot = groups.entry(key).or_insert_with(fresh);
-        for ((_, spec), acc) in accs.iter().zip(slot.iter_mut()) {
-            let arg = match spec {
-                Accum::Sum(e)
-                | Accum::Min(e)
-                | Accum::Max(e)
-                | Accum::Avg(e)
-                | Accum::StdDevPop(e)
-                | Accum::Count(e) => expr::eval(e, &doc, vars)?,
-            };
-            acc.update(&arg);
+        for ((name, spec), acc) in accs.iter().zip(slot.iter_mut()) {
+            match mode {
+                GroupMode::Final => acc.merge_partial(&doc.get_path(name)),
+                _ => acc.update(&expr::eval(spec.arg(), &doc, vars)?),
+            }
         }
     }
 
-    // `$group` with `_id: {}` over empty input emits nothing (MongoDB).
     let mut out = Vec::with_capacity(groups.len());
-    for (key, slot) in &groups {
-        let mut rec = Record::new();
-        let id_val = match id {
-            GroupId::Empty => Value::Obj(Record::new()),
-            GroupId::Keys(keys) => {
+    for (key, slot) in groups {
+        let id_val = match (mode, id) {
+            // The first `_id` seen for the group, as the map keeps it.
+            (GroupMode::Final, _) => key.0.into_iter().next().unwrap_or(Value::Missing),
+            (_, GroupId::Empty) => Value::Obj(Record::new()),
+            (_, GroupId::Keys(keys)) => {
                 let mut idrec = Record::with_capacity(keys.len());
-                for ((name, _), v) in keys.iter().zip(key.0.iter()) {
-                    idrec.insert(name.clone(), v.clone());
+                for ((name, _), v) in keys.iter().zip(key.0) {
+                    idrec.insert(name.clone(), v);
                 }
                 Value::Obj(idrec)
             }
         };
+        let mut rec = Record::new();
         rec.insert("_id", id_val);
-        for ((name, _), acc) in accs.iter().zip(slot.iter()) {
-            rec.insert(name.clone(), acc.finalize());
+        for ((name, _), acc) in accs.iter().zip(&slot) {
+            let v = match mode {
+                GroupMode::Partial => acc.to_partial(),
+                _ => acc.finalize(),
+            };
+            rec.insert(name.clone(), v);
         }
         out.push(Value::Obj(rec));
     }

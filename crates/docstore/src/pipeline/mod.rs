@@ -34,6 +34,34 @@ pub enum Accum {
     Count(MongoExpr),
 }
 
+impl Accum {
+    /// The argument expression evaluated against each document.
+    pub fn arg(&self) -> &MongoExpr {
+        match self {
+            Accum::Sum(e)
+            | Accum::Min(e)
+            | Accum::Max(e)
+            | Accum::Avg(e)
+            | Accum::StdDevPop(e)
+            | Accum::Count(e) => e,
+        }
+    }
+}
+
+/// How a `$group` stage folds its input, mirroring the SQL engine's
+/// aggregate modes: a sharded `$group` runs `Partial` on every shard and
+/// `Final` on the coordinator, and the pair equals `Complete`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum GroupMode {
+    /// Group documents by `_id` and emit final values (a parsed stage).
+    Complete,
+    /// Group documents by `_id` and emit each accumulator's partial state.
+    Partial,
+    /// Key on each input document's `_id` value and fold the partial
+    /// states under every accumulator's name into final values.
+    Final,
+}
+
 /// One `$project` entry (order preserved).
 #[derive(Debug, Clone, PartialEq)]
 pub enum ProjectItem {
@@ -60,6 +88,9 @@ pub enum Stage {
         id: GroupId,
         /// Output accumulators `(name, accumulator)`.
         accs: Vec<(String, Accum)>,
+        /// How the stage folds its input ([`GroupMode::Complete`] when
+        /// parsed).
+        mode: GroupMode,
     },
     /// `{"$sort": {"f": 1 | -1}}`
     Sort(Vec<(String, bool)>),
@@ -198,7 +229,11 @@ pub fn parse_stage(v: &Value) -> Result<Stage> {
                 }
                 accs.push((k.to_string(), parse_accum(v)?));
             }
-            Ok(Stage::Group { id, accs })
+            Ok(Stage::Group {
+                id,
+                accs,
+                mode: GroupMode::Complete,
+            })
         }
         "$sort" => {
             let m = body
@@ -374,7 +409,7 @@ mod tests {
         )
         .unwrap();
         match &stages[0] {
-            Stage::Group { id, accs } => {
+            Stage::Group { id, accs, .. } => {
                 assert!(matches!(id, GroupId::Keys(k) if k.len() == 1));
                 assert!(matches!(&accs[0].1, Accum::Max(_)));
             }

@@ -387,14 +387,40 @@ impl DocStore {
     }
 }
 
+/// Give the id-less documents of one insert batch their `_id`s, each
+/// rebuilt with `_id` leading (MongoDB's insertion rule). Assigned ids
+/// count up from `next`, first moved past every integer `_id` in the
+/// batch, so an assigned id never repeats an explicit one. Returns the
+/// next free id.
+pub fn assign_ids(docs: &mut [Record], next: i64) -> i64 {
+    let mut next = docs
+        .iter()
+        .filter_map(|doc| match doc.get("_id") {
+            Some(Value::Int(id)) => Some(id.saturating_add(1)),
+            _ => None,
+        })
+        .fold(next, i64::max);
+    for doc in docs.iter_mut().filter(|doc| !doc.contains("_id")) {
+        let mut with_id = Record::with_capacity(doc.len() + 1);
+        with_id.insert("_id", next);
+        for (k, v) in doc.iter() {
+            with_id.insert(k.to_string(), v.clone());
+        }
+        *doc = with_id;
+        next += 1;
+    }
+    next
+}
+
 impl StateMachine for Collections {
     type Error = DocError;
 
     /// Check the target collection exists, reject explicit `_id`s that
     /// repeat within the batch or match a stored document, and give
-    /// id-less ingested documents their `_id`s (assigned ids start past
-    /// every integer id seen, so they never collide). Shipped and replayed
-    /// documents go through `apply` and are not checked again.
+    /// id-less ingested documents their `_id`s ([`assign_ids`] from the
+    /// counter, which `apply` keeps past every integer id stored). Shipped
+    /// and replayed documents go through `apply` and are not checked
+    /// again.
     fn prepare(&self, mut op: DurableOp) -> Result<DurableOp> {
         if let DurableOp::Ingest { name, .. } | DurableOp::Index { name, .. } = &op {
             if !self.tables.contains_key(name) {
@@ -418,16 +444,7 @@ impl StateMachine for Collections {
                     "collection {name}, _id {id:?}"
                 )));
             }
-            let id_less = records.iter_mut().filter(|doc| !doc.contains("_id"));
-            for (id, doc) in (self.next_id..).zip(id_less) {
-                // `_id` leads the document, like MongoDB's insertion rule.
-                let mut with_id = Record::with_capacity(doc.len() + 1);
-                with_id.insert("_id", id);
-                for (k, v) in doc.iter() {
-                    with_id.insert(k.to_string(), v.clone());
-                }
-                *doc = with_id;
-            }
+            assign_ids(records, self.next_id);
         }
         Ok(op)
     }

@@ -72,3 +72,32 @@ fn duplicate_explicit_ids_are_rejected_before_logging() {
         assert_eq!(wal.next_lsn(), lsn, "a rejected batch reached the log");
     }
 }
+
+/// Ids assigned to the id-less documents of a batch start past the
+/// batch's own explicit integer ids, so they never repeat one.
+#[test]
+fn assigned_ids_skip_the_batchs_explicit_ids() {
+    let store = DocStore::new();
+    store.create_collection("c").expect("ddl");
+    let inserted = store
+        .insert_many(
+            "c",
+            vec![record! {"_id" => 1i64, "a" => 1i64}, record! {"a" => 2i64}],
+        )
+        .expect("distinct ids");
+    assert_eq!(inserted, 2);
+    let docs = store
+        .aggregate("c", r#"[{"$match":{}},{"$project":{"_id":1,"a":1}}]"#)
+        .expect("docs");
+    let pairs: Vec<(Value, Value)> = docs
+        .iter()
+        .map(|d| (d.get_path("_id"), d.get_path("a")))
+        .collect();
+    assert_eq!(
+        pairs,
+        vec![
+            (Value::Int(1), Value::Int(1)),
+            (Value::Int(2), Value::Int(2))
+        ]
+    );
+}

@@ -237,7 +237,7 @@ impl std::ops::Deref for Labels {
 impl StateMachine for Labels {
     type Error = GraphError;
 
-    /// Mirrors the checks [`LabelStore::insert`] and `create_index`
+    /// Mirrors the checks `LabelStore::insert` and `create_index`
     /// perform, so a logged op can never fail when applied.
     fn prepare(&self, op: DurableOp) -> Result<DurableOp> {
         match &op {

@@ -5,7 +5,7 @@
 //! (heap slot ranges for `SeqScan`, chunks of a materialized rid list for
 //! `IndexScan`), a small pool of `std::thread::scope` workers pulls morsel
 //! indexes off a shared atomic counter, runs the compiled batch pipeline
-//! ([`super::vector`]) over each morsel into a per-morsel partial of the
+//! (`super::vector`) over each morsel into a per-morsel partial of the
 //! blocking terminal (partial aggregation, chunk sort), and the coordinator
 //! merges partials **in morsel order** so parallel execution is
 //! byte-identical to serial:
@@ -24,14 +24,14 @@
 //!   collecting the rest of an index range. Otherwise workers claim
 //!   morsels 1.. under a cooperative stop flag and stop once the
 //!   already-determined morsel prefix satisfies the limit (see
-//!   [`LimitGate`]);
+//!   `LimitGate`);
 //! * joins build their hash table (or resolve their inner index) once on
 //!   the coordinator and probe per-batch on the vectorized path.
 //!
 //! Plans that do not decompose this way (nested blocking operators, the
 //! index-only fast paths, `VALUES`) and pipelines the batch compiler
 //! declines run on the serial row interpreter unchanged, and
-//! [`TryRunOutcome::Fallback`] carries *why* so the trace can report
+//! `TryRunOutcome::Fallback` carries *why* so the trace can report
 //! `fallback:<cause>`.
 
 use super::aggregate::{Accumulator, OrdValue};

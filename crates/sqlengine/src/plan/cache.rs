@@ -6,7 +6,7 @@
 //! over for the same strings. The cache memoizes the compiled
 //! logical/physical plan pair keyed by `(dialect, query text)` and guarded
 //! by the catalog version: DDL and bulk loads bump
-//! [`Database::version`](crate::catalog::Database::version), silently
+//! [`Snapshot::version`](polyframe_storage::Snapshot::version), silently
 //! invalidating every plan compiled against the older catalog (a new index
 //! — or new data arriving faster than index maintenance — changes which
 //! physical plan is correct, not just which is fastest).

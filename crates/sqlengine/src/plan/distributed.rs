@@ -1,6 +1,7 @@
-//! Splitting a logical plan into a per-shard plan plus a coordinator merge
-//! step — the scatter/gather protocol behind the paper's multi-node
-//! experiments (Figs. 9 and 10).
+//! Splitting a logical plan into a per-shard plan
+//! ([`DistributedQuery::shard_plan`]) plus a coordinator merge step
+//! ([`DistributedQuery::merge`]) — the scatter/gather protocol behind the
+//! paper's multi-node experiments (Figs. 9 and 10).
 //!
 //! The decompositions are the classic ones:
 //!
@@ -20,7 +21,7 @@
 use crate::error::{EngineError, Result};
 use crate::exec::{aggregate_rows, project_row};
 use crate::plan::logical::{AggExpr, AggMode, LogicalPlan, ProjectSpec, Scalar};
-use polyframe_datamodel::{SortKey, TopK, Value};
+use polyframe_datamodel::{Record, SortKey, TopK, Value};
 
 /// A distributed execution strategy for one query.
 #[derive(Debug, Clone, PartialEq)]
@@ -227,57 +228,93 @@ fn join_count(
     }
 }
 
-/// Coordinator merge for [`DistributedQuery::ScalarAgg`] /
-/// [`DistributedQuery::GroupAgg`].
-pub fn merge_aggregate_parts(
-    parts: Vec<Vec<Value>>,
+impl DistributedQuery {
+    /// The plan every shard runs; `None` for
+    /// [`DistributedQuery::JoinCount`], whose shard work is the cluster's
+    /// repartition join.
+    pub fn shard_plan(&self) -> Option<&LogicalPlan> {
+        match self {
+            DistributedQuery::Concat { shard_plan, .. }
+            | DistributedQuery::ScalarAgg { shard_plan, .. }
+            | DistributedQuery::GroupAgg { shard_plan, .. }
+            | DistributedQuery::TopK { shard_plan, .. } => Some(shard_plan),
+            DistributedQuery::JoinCount { .. } => None,
+        }
+    }
+
+    /// The coordinator's merge of the shards' parts, in shard order:
+    ///
+    /// * `Concat` concatenates and truncates to the limit;
+    /// * `ScalarAgg`/`GroupAgg` merge partial states (re-grouping on the
+    ///   key columns), finalize and project;
+    /// * `TopK` evaluates every row's keys in shard order (so key errors
+    ///   fire as in a full sort) and keeps `limit` rows through the top-k
+    ///   kernel, ties in shard order, then applies any projection;
+    /// * `JoinCount` sums the partitions' `Int` counts and projects.
+    pub fn merge(&self, parts: Vec<Vec<Value>>) -> Result<Vec<Value>> {
+        let rows = parts.into_iter().flatten();
+        match self {
+            DistributedQuery::Concat { limit, .. } => Ok(rows
+                .take(limit.map_or(usize::MAX, |n| n as usize))
+                .collect()),
+            DistributedQuery::ScalarAgg { aggs, project, .. } => {
+                merge_aggregates(rows.collect(), &[], aggs, project)
+            }
+            DistributedQuery::GroupAgg {
+                group_names,
+                aggs,
+                project,
+                ..
+            } => merge_aggregates(rows.collect(), group_names, aggs, project),
+            DistributedQuery::TopK {
+                keys,
+                limit,
+                post_project,
+                ..
+            } => {
+                let mut sorted = TopK::new(Some(*limit as usize));
+                for row in rows {
+                    let mut kv = Vec::with_capacity(keys.len());
+                    for (expr, desc) in keys {
+                        kv.push(SortKey::new(crate::exec::eval::eval(expr, &row)?, *desc));
+                    }
+                    sorted.push(kv, row);
+                }
+                sorted
+                    .into_sorted_items()
+                    .into_iter()
+                    .map(|row| match post_project {
+                        Some(spec) => project_row(spec, &row),
+                        None => Ok(row),
+                    })
+                    .collect()
+            }
+            DistributedQuery::JoinCount {
+                output, project, ..
+            } => {
+                let count: i64 = rows.filter_map(|v| v.as_i64()).sum();
+                let mut rec = Record::new();
+                rec.insert(output.clone(), Value::Int(count));
+                Ok(vec![project_row(project, &Value::Obj(rec))?])
+            }
+        }
+    }
+}
+
+/// Merge partial-state rows re-grouped on `group_names`, finalize and
+/// project.
+fn merge_aggregates(
+    rows: Vec<Value>,
     group_names: &[String],
     aggs: &[AggExpr],
     project: &ProjectSpec,
 ) -> Result<Vec<Value>> {
-    let all: Vec<Value> = parts.into_iter().flatten().collect();
     let group_by: Vec<(String, Scalar)> = group_names
         .iter()
         .map(|n| (n.clone(), Scalar::Field(n.clone())))
         .collect();
-    let merged = aggregate_rows(all, &group_by, aggs, AggMode::Final)?;
+    let merged = aggregate_rows(rows, &group_by, aggs, AggMode::Final)?;
     merged.iter().map(|row| project_row(project, row)).collect()
-}
-
-/// Coordinator merge for [`DistributedQuery::TopK`]. Every shard row's
-/// keys are evaluated (in shard order, so key errors fire as in a full
-/// sort); the top-k kernel keeps `limit` rows, ties in shard order.
-pub fn merge_topk(
-    parts: Vec<Vec<Value>>,
-    keys: &[(Scalar, bool)],
-    limit: u64,
-    post_project: Option<&ProjectSpec>,
-) -> Result<Vec<Value>> {
-    let mut sorted = TopK::new(Some(limit as usize));
-    for row in parts.into_iter().flatten() {
-        let mut kv = Vec::with_capacity(keys.len());
-        for (expr, desc) in keys {
-            kv.push(SortKey::new(crate::exec::eval::eval(expr, &row)?, *desc));
-        }
-        sorted.push(kv, row);
-    }
-    sorted
-        .into_sorted_items()
-        .into_iter()
-        .map(|row| match post_project {
-            Some(spec) => project_row(spec, &row),
-            None => Ok(row),
-        })
-        .collect()
-}
-
-/// Coordinator merge for [`DistributedQuery::Concat`].
-pub fn merge_concat(parts: Vec<Vec<Value>>, limit: Option<u64>) -> Vec<Value> {
-    let mut rows: Vec<Value> = parts.into_iter().flatten().collect();
-    if let Some(n) = limit {
-        rows.truncate(n as usize);
-    }
-    rows
 }
 
 #[cfg(test)]
@@ -363,7 +400,11 @@ mod tests {
 
     #[test]
     fn merge_concat_truncates() {
+        let d = split_q(
+            "SELECT two, four FROM (SELECT * FROM data) t LIMIT 2",
+            Dialect::Sql,
+        );
         let parts = vec![vec![Value::Int(1), Value::Int(2)], vec![Value::Int(3)]];
-        assert_eq!(merge_concat(parts, Some(2)).len(), 2);
+        assert_eq!(d.merge(parts).unwrap(), vec![Value::Int(1), Value::Int(2)]);
     }
 }

@@ -322,9 +322,11 @@ impl<S: StateMachine> DurableStore<S> {
         master.state = fresh;
         master.version += 1;
         // Recovery rebuilt a consistent state, healing any torn write a
-        // prior panic left behind.
-        self.master.clear_poison();
+        // prior panic left behind. Publish before clearing the poison bit:
+        // a reader that sees the bit clear skips healing and must already
+        // find the healed state published.
         self.publish_locked(master);
+        self.master.clear_poison();
         Ok(report)
     }
 

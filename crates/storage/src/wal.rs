@@ -244,7 +244,7 @@ impl Default for CheckpointPolicy {
 /// Held behind an `Arc` by the store *and* by whoever performs recovery,
 /// exactly like a disk that outlives the process. A staged (not yet
 /// committed) snapshot models the write-then-flip install protocol; the
-/// flip in [`LogMedia::commit_staged_snapshot`] is the atomic commit
+/// flip in `LogMedia::commit_staged_snapshot` is the atomic commit
 /// point, so a torn snapshot write can only ever damage the staging
 /// area, never the committed snapshot.
 #[derive(Debug, Default)]
