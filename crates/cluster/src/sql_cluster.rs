@@ -861,4 +861,25 @@ mod tests {
             assert!(c.take_stats().is_empty());
         }
     }
+
+    /// With the partition key equal to the primary key, every copy of a
+    /// key routes to one shard, whose primary-key rule rejects it.
+    #[test]
+    fn repeated_primary_keys_are_rejected() {
+        let c = cluster(3);
+        let batches = [
+            vec![record! {"id" => 500i64}, record! {"id" => 500i64}],
+            vec![record! {"id" => 7i64, "grp" => 9i64}],
+        ];
+        for batch in batches {
+            let err = c.load("Test", "Users", batch.clone()).unwrap_err();
+            assert!(
+                matches!(err, EngineError::DuplicateKey(_)),
+                "{batch:?}: {err}"
+            );
+            assert_eq!(c.dataset_len("Test", "Users").unwrap(), 100, "{batch:?}");
+        }
+        let rows = c.query("SELECT VALUE COUNT(*) FROM Test.Users").unwrap();
+        assert_eq!(rows, vec![Value::Int(100)]);
+    }
 }

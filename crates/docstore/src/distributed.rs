@@ -25,9 +25,8 @@ use crate::pipeline::exec::{apply_stages, DocIter};
 use crate::pipeline::expr::{MongoExpr, Vars};
 use crate::pipeline::optimizer::find_downstream_limit;
 use crate::pipeline::{split_path, Accum, GroupId, GroupMode, ProjectItem, Stage};
+use crate::store::Collections;
 use polyframe_datamodel::Value;
-use polyframe_storage::Table;
-use std::collections::HashMap;
 
 /// A pipeline split for sharded execution.
 #[derive(Debug, Clone, PartialEq)]
@@ -108,7 +107,7 @@ pub fn split(stages: &[Stage]) -> Result<ShardedPipeline> {
 
 /// Run stages over materialized rows on the coordinator.
 pub fn apply_stages_to_rows(rows: Vec<Value>, stages: &[Stage]) -> Result<Vec<Value>> {
-    let empty: HashMap<String, Table> = HashMap::new();
+    let empty = Collections::default();
     let vars = Vars::new();
     let stream: DocIter<'_> = Box::new(rows.into_iter().map(Ok));
     let rows = apply_stages(&empty, stream, stages, &vars)?.collect();

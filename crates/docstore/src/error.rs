@@ -1,6 +1,6 @@
 //! Document-store error type.
 
-use polyframe_storage::{DurableError, StoreError};
+use polyframe_storage::{DurableError, StoreError, TableError};
 use std::fmt;
 
 /// Errors produced by the document store.
@@ -44,6 +44,15 @@ impl std::error::Error for DocError {}
 impl From<DurableError> for DocError {
     fn from(e: DurableError) -> DocError {
         DocError::Durable(e)
+    }
+}
+
+impl From<TableError> for DocError {
+    fn from(e: TableError) -> DocError {
+        match e {
+            TableError::Unknown { name, .. } => DocError::UnknownCollection(name),
+            TableError::DuplicateKey(m) => DocError::DuplicateKey(format!("collection {m}")),
+        }
     }
 }
 

@@ -8,10 +8,11 @@ use crate::error::{DocError, Result};
 use crate::pipeline::expr::{self, truthy, CmpOp, MongoExpr, Vars};
 use crate::pipeline::optimizer::{find_downstream_limit, PhysicalPipeline, Source};
 use crate::pipeline::{Accum, GroupId, GroupMode, ProjectItem, Stage};
+use crate::store::Collections;
 use polyframe_datamodel::{cmp_total, NumericSum, Record, SortKey, TopK, Value};
 use polyframe_storage::{Direction, ScanRange, Table};
 use std::cmp::Ordering;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 /// Document stream.
 pub type DocIter<'b> = Box<dyn Iterator<Item = Result<Value>> + 'b>;
@@ -19,14 +20,12 @@ pub type DocIter<'b> = Box<dyn Iterator<Item = Result<Value>> + 'b>;
 /// Run an optimized pipeline against `collection`. `collections` is the full
 /// catalog (visible to `$lookup`).
 pub fn run_pipeline<'b>(
-    collections: &'b HashMap<String, Table>,
+    collections: &'b Collections,
     collection: &str,
     pipeline: &'b PhysicalPipeline,
     vars: &'b Vars,
 ) -> Result<Vec<Value>> {
-    let table = collections
-        .get(collection)
-        .ok_or_else(|| DocError::UnknownCollection(collection.to_string()))?;
+    let table = collections.collection(collection)?;
     let stream = source_stream(table, &pipeline.source)?;
     apply_stages(collections, stream, &pipeline.stages, vars)?.collect()
 }
@@ -35,7 +34,7 @@ pub fn run_pipeline<'b>(
 /// `$limit` through stages that keep documents 1:1 runs as a bounded
 /// top-k: the documents past the limit are never observable downstream.
 pub(crate) fn apply_stages<'b>(
-    collections: &'b HashMap<String, Table>,
+    collections: &'b Collections,
     mut stream: DocIter<'b>,
     stages: &'b [Stage],
     vars: &'b Vars,
@@ -132,7 +131,7 @@ fn source_stream<'b>(table: &'b Table, source: &'b Source) -> Result<DocIter<'b>
 }
 
 fn apply_stage<'b>(
-    collections: &'b HashMap<String, Table>,
+    collections: &'b Collections,
     stream: DocIter<'b>,
     stage: &'b Stage,
     vars: &'b Vars,
@@ -194,19 +193,15 @@ fn apply_stage<'b>(
             let_vars,
             pipeline,
         } => {
-            let inner_table = collections
-                .get(from)
-                .ok_or_else(|| DocError::UnknownCollection(from.to_string()))?;
+            let inner_table = collections.collection(from)?;
             // Index-probe fast path: the inner pipeline is a pure equality
             // on a let-variable over an indexed field — the index
             // nested-loop join the paper observed.
             let probe = lookup_probe(pipeline, inner_table);
             // General path: pre-optimize the inner pipeline once.
-            let inner_phys = crate::pipeline::optimizer::optimize(
-                pipeline,
-                &|a| inner_table.index_on(a).map(|ix| ix.is_complete()),
-                true,
-            );
+            let inner_phys = crate::pipeline::optimizer::optimize(pipeline, &|a| {
+                inner_table.index_on(a).map(|ix| ix.is_complete())
+            });
             Ok(Box::new(stream.map(move |doc| {
                 let doc = doc?;
                 let mut inner_vars = vars.clone();

@@ -74,43 +74,36 @@ impl PhysicalPipeline {
 pub type IndexProbe<'a> = &'a dyn Fn(&str) -> Option<bool>;
 
 /// Optimize a parsed pipeline. `index_info(attr)` returns `Some(complete)`
-/// when an index on `attr` exists, and `use_indexes` is the ablation master
-/// switch.
-pub fn optimize(
-    stages: &[Stage],
-    index_info: IndexProbe<'_>,
-    use_indexes: bool,
-) -> PhysicalPipeline {
+/// when an index on `attr` exists.
+pub fn optimize(stages: &[Stage], index_info: IndexProbe<'_>) -> PhysicalPipeline {
     let mut stages = normalize(stages);
     let mut source = Source::CollScan;
 
-    if use_indexes {
-        // Index access from a leading $match.
-        if let Some(Stage::Match(Some(pred))) = stages.first() {
-            if let Some((src, residual)) = match_to_index(pred, index_info) {
-                source = src;
-                match residual {
-                    Some(pred) => stages[0] = Stage::Match(Some(pred)),
-                    None => {
-                        stages.remove(0);
-                    }
+    // Index access from a leading $match.
+    if let Some(Stage::Match(Some(pred))) = stages.first() {
+        if let Some((src, residual)) = match_to_index(pred, index_info) {
+            source = src;
+            match residual {
+                Some(pred) => stages[0] = Stage::Match(Some(pred)),
+                None => {
+                    stages.remove(0);
                 }
             }
         }
-        // Index-ordered scan from a leading $sort with a downstream $limit.
-        if source == Source::CollScan {
-            if let Some(Stage::Sort(keys)) = stages.first() {
-                if keys.len() == 1 {
-                    let (attr, desc) = (&keys[0].0, keys[0].1);
-                    if index_info(attr) == Some(true) {
-                        if let Some(limit) = find_downstream_limit(&stages[1..]) {
-                            source = Source::IndexOrdered {
-                                attr: attr.clone(),
-                                desc,
-                                limit: Some(limit),
-                            };
-                            stages.remove(0);
-                        }
+    }
+    // Index-ordered scan from a leading $sort with a downstream $limit.
+    if source == Source::CollScan {
+        if let Some(Stage::Sort(keys)) = stages.first() {
+            if keys.len() == 1 {
+                let (attr, desc) = (&keys[0].0, keys[0].1);
+                if index_info(attr) == Some(true) {
+                    if let Some(limit) = find_downstream_limit(&stages[1..]) {
+                        source = Source::IndexOrdered {
+                            attr: attr.clone(),
+                            desc,
+                            limit: Some(limit),
+                        };
+                        stages.remove(0);
                     }
                 }
             }
@@ -290,7 +283,7 @@ mod tests {
     #[test]
     fn match_all_stages_vanish() {
         let stages = parse_pipeline(r#"[{"$match":{}},{"$match":{}},{"$limit":5}]"#).unwrap();
-        let phys = optimize(&stages, &probe_all_complete, true);
+        let phys = optimize(&stages, &probe_all_complete);
         assert_eq!(phys.source, Source::CollScan);
         assert_eq!(phys.stages, vec![Stage::Limit(5)]);
     }
@@ -301,7 +294,7 @@ mod tests {
             r#"[{"$match":{}},{"$match":{"$expr":{"$eq":["$ten",3]}}},{"$limit":5}]"#,
         )
         .unwrap();
-        let phys = optimize(&stages, &probe_all_complete, true);
+        let phys = optimize(&stages, &probe_all_complete);
         assert_eq!(
             phys.source,
             Source::IndexEq {
@@ -318,7 +311,7 @@ mod tests {
             r#"[{"$match":{"$expr":{"$and":[{"$eq":["$ten",3]},{"$eq":["$two",1]}]}}}]"#,
         )
         .unwrap();
-        let phys = optimize(&stages, &probe_all_complete, true);
+        let phys = optimize(&stages, &probe_all_complete);
         assert!(matches!(phys.source, Source::IndexEq { .. }));
         assert_eq!(phys.stages.len(), 1);
         assert!(matches!(&phys.stages[0], Stage::Match(Some(_))));
@@ -330,7 +323,7 @@ mod tests {
             r#"[{"$match":{"$expr":{"$and":[{"$gte":["$onePercent",10]},{"$lte":["$onePercent",20]}]}}},{"$count":"count"}]"#,
         )
         .unwrap();
-        let phys = optimize(&stages, &probe_all_complete, true);
+        let phys = optimize(&stages, &probe_all_complete);
         match &phys.source {
             Source::IndexRange { attr, lo, hi } => {
                 assert_eq!(attr, "onePercent");
@@ -348,7 +341,7 @@ mod tests {
             r#"[{"$match":{}},{"$sort":{"unique1":-1}},{"$project":{"_id":0}},{"$limit":5}]"#,
         )
         .unwrap();
-        let phys = optimize(&stages, &probe_all_complete, true);
+        let phys = optimize(&stages, &probe_all_complete);
         assert_eq!(
             phys.source,
             Source::IndexOrdered {
@@ -364,7 +357,7 @@ mod tests {
     #[test]
     fn sort_without_limit_stays_blocking() {
         let stages = parse_pipeline(r#"[{"$sort":{"unique1":-1}}]"#).unwrap();
-        let phys = optimize(&stages, &probe_all_complete, true);
+        let phys = optimize(&stages, &probe_all_complete);
         assert_eq!(phys.source, Source::CollScan);
         assert_eq!(phys.stages.len(), 1);
     }
@@ -373,14 +366,7 @@ mod tests {
     fn unindexed_field_stays_collscan() {
         let stages =
             parse_pipeline(r#"[{"$match":{"$expr":{"$eq":["$stringu1","AAA"]}}}]"#).unwrap();
-        let phys = optimize(&stages, &probe_all_complete, true);
-        assert_eq!(phys.source, Source::CollScan);
-    }
-
-    #[test]
-    fn ablation_switch_disables_indexes() {
-        let stages = parse_pipeline(r#"[{"$match":{"$expr":{"$eq":["$ten",3]}}}]"#).unwrap();
-        let phys = optimize(&stages, &probe_all_complete, false);
+        let phys = optimize(&stages, &probe_all_complete);
         assert_eq!(phys.source, Source::CollScan);
     }
 
@@ -388,7 +374,7 @@ mod tests {
     fn unknown_key_eq_is_not_indexable() {
         // SkipNulls indexes cannot answer equality with null.
         let stages = parse_pipeline(r#"[{"$match":{"$expr":{"$eq":["$ten",null]}}}]"#).unwrap();
-        let phys = optimize(&stages, &probe_all_complete, true);
+        let phys = optimize(&stages, &probe_all_complete);
         assert_eq!(phys.source, Source::CollScan);
     }
 }

@@ -6,14 +6,12 @@ use crate::pipeline::exec::run_pipeline;
 use crate::pipeline::expr::Vars;
 use crate::pipeline::optimizer::{optimize, PhysicalPipeline};
 use crate::pipeline::{parse_pipeline, Stage};
-use polyframe_datamodel::{cmp_total, Record, Value};
+use polyframe_datamodel::{Record, Value};
 use polyframe_observe::{CacheStats, Span, SpanTimer, VersionedCache};
 use polyframe_storage::{
-    DurableError, DurableOp, DurableStore, IndexKind, NullPolicy, Snapshot, StateMachine, Table,
-    TableOptions,
+    DurableError, DurableOp, DurableStore, NullPolicy, Snapshot, StateMachine, Table, TableOptions,
+    Tables,
 };
-use std::cmp::Ordering;
-use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -36,22 +34,35 @@ struct Compiled {
     plan_span: Span,
 }
 
-/// The document store's durable state: its collections and the `_id`
-/// counter. The counter is part of the state — advanced only by applying
-/// an `Ingest` — so the ids a history assigns do not depend on whether a
-/// recovery happened in the middle of it.
+/// The document store's durable state: its collections (the shared
+/// [`Tables`] state, in the empty namespace, every table keyed on `_id`)
+/// and the `_id` counter. The counter is part of the state — advanced
+/// only by applying an `Ingest` — so the ids a history assigns do not
+/// depend on whether a recovery happened in the middle of it.
 #[derive(Clone)]
 pub struct Collections {
-    tables: HashMap<String, Table>,
+    tables: Tables,
     next_id: i64,
 }
 
 impl Default for Collections {
     fn default() -> Collections {
         Collections {
-            tables: HashMap::new(),
+            tables: Tables::new(TableOptions {
+                primary_key: Some("_id".to_string()),
+                // Paper (section IV.E): "missing values are not present
+                // in their indexes" for MongoDB.
+                secondary_null_policy: NullPolicy::SkipNulls,
+            }),
             next_id: 1,
         }
+    }
+}
+
+impl Collections {
+    /// Look a collection up.
+    pub fn collection(&self, name: &str) -> Result<&Table> {
+        Ok(self.tables.get("", name)?)
     }
 }
 
@@ -62,8 +73,6 @@ impl Default for Collections {
 /// hold a lock across pipeline execution.
 pub struct DocStore {
     shell: DurableStore<Collections>,
-    /// Ablation switch: disable index selection in the pipeline optimizer.
-    use_indexes: bool,
     /// Compiled pipelines keyed by `(collection, pipeline text)`, at the
     /// catalog version of the snapshot they were compiled against.
     plan_cache: VersionedCache<(String, String), CachedPipeline>,
@@ -87,16 +96,7 @@ impl DocStore {
     pub fn new() -> DocStore {
         DocStore {
             shell: DurableStore::new("docstore", Collections::default()),
-            use_indexes: true,
             plan_cache: VersionedCache::new(PLAN_CACHE_CAPACITY),
-        }
-    }
-
-    /// Empty store with index selection disabled (ablation benchmarks).
-    pub fn without_indexes() -> DocStore {
-        DocStore {
-            use_indexes: false,
-            ..DocStore::new()
         }
     }
 
@@ -135,28 +135,29 @@ impl DocStore {
             name: collection.to_string(),
             attribute: attribute.to_string(),
         })?;
-        self.pin()?
-            .tables
-            .get(collection)
-            .and_then(|t| t.index_on(attribute).map(|ix| ix.name().to_string()))
-            .ok_or_else(|| DocError::UnknownCollection(collection.to_string()))
+        Ok(self
+            .pin()?
+            .collection(collection)?
+            .index_on(attribute)
+            .map(|ix| ix.name().to_string())
+            .unwrap_or_default())
     }
 
     /// O(1) metadata count — the fast path `aggregate` pipelines CANNOT use
     /// (the paper's expression-1 observation).
     pub fn count_documents(&self, collection: &str) -> Result<usize> {
-        let pin = self.pin()?;
-        let table = pin
-            .tables
-            .get(collection)
-            .ok_or_else(|| DocError::UnknownCollection(collection.to_string()))?;
-        Ok(table.stats().record_count())
+        Ok(self.pin()?.collection(collection)?.stats().record_count())
     }
 
     /// Names of all collections.
     pub fn collection_names(&self) -> Vec<String> {
         self.pin()
-            .map(|pin| pin.tables.keys().cloned().collect())
+            .map(|pin| {
+                pin.tables
+                    .iter()
+                    .map(|(_, name, _)| name.to_string())
+                    .collect()
+            })
             .unwrap_or_default()
     }
 
@@ -170,7 +171,6 @@ impl DocStore {
         collection: &str,
         pipeline_json: &str,
     ) -> Result<Compiled> {
-        let map = &pin.tables;
         let version = pin.version();
         let key = (collection.to_string(), pipeline_json.to_string());
         let probe_started = std::time::Instant::now();
@@ -194,11 +194,7 @@ impl DocStore {
         let parse_span = parse_t.finish();
 
         let plan_t = SpanTimer::start("plan");
-        let body = match stages.split_last() {
-            Some((Stage::Out(_), rest)) => rest,
-            _ => &stages[..],
-        };
-        let phys = self.optimize_for(map, collection, body)?;
+        let phys = optimize_for(pin, collection, split_out(&stages).0)?;
         let plan = self
             .plan_cache
             .insert(key, version, CachedPipeline { stages, body: phys });
@@ -215,47 +211,21 @@ impl DocStore {
         let (results, out_target) = {
             let pin = self.pin_query()?;
             let compiled = self.compiled(&pin, collection, pipeline_json)?;
-            let out_target = match compiled.plan.stages.last() {
-                Some(Stage::Out(target)) => Some(target.clone()),
-                _ => None,
-            };
-            let rows = run_pipeline(&pin.tables, collection, &compiled.plan.body, &Vars::new())?;
-            (rows, out_target)
+            let rows = run_pipeline(&pin, collection, &compiled.plan.body, &Vars::new())?;
+            (rows, split_out(&compiled.plan.stages).1)
         };
-        if let Some(target) = out_target {
-            self.create_collection(&target)?;
-            let docs = results
-                .into_iter()
-                .map(|v| v.into_obj().map_err(|e| DocError::Exec(e.to_string())))
-                .collect::<Result<Vec<_>>>()?;
-            self.insert_many(&target, docs)?;
-            return Ok(Vec::new());
-        }
-        Ok(results)
+        self.finish(results, out_target)
     }
 
     /// Run a parsed aggregation pipeline.
     pub fn aggregate_stages(&self, collection: &str, stages: &[Stage]) -> Result<Vec<Value>> {
-        // `$out` (if present) must be last; intercept it.
-        let (stages, out_target) = match stages.split_last() {
-            Some((Stage::Out(target), rest)) => (rest, Some(target.clone())),
-            _ => (stages, None),
-        };
+        let (body, out_target) = split_out(stages);
         let results = {
             let pin = self.pin()?;
-            let phys = self.optimize_for(&pin.tables, collection, stages)?;
-            run_pipeline(&pin.tables, collection, &phys, &Vars::new())?
+            let phys = optimize_for(&pin, collection, body)?;
+            run_pipeline(&pin, collection, &phys, &Vars::new())?
         };
-        if let Some(target) = out_target {
-            self.create_collection(&target)?;
-            let docs = results
-                .into_iter()
-                .map(|v| v.into_obj().map_err(|e| DocError::Exec(e.to_string())))
-                .collect::<Result<Vec<_>>>()?;
-            self.insert_many(&target, docs)?;
-            return Ok(Vec::new());
-        }
-        Ok(results)
+        self.finish(results, out_target)
     }
 
     /// Like [`DocStore::aggregate`], but also reports where the time went
@@ -271,7 +241,6 @@ impl DocStore {
         let started = std::time::Instant::now();
 
         let (rows, out_target, parse_span, plan_span, exec_span) = {
-            let map = &pin.tables;
             let Compiled {
                 plan,
                 hit,
@@ -287,34 +256,21 @@ impl DocStore {
             plan_span.set_metric("cache_lookup", 1);
 
             let mut exec_t = SpanTimer::start("exec");
-            let rows = run_pipeline(map, collection, &plan.body, &Vars::new())?;
+            let rows = run_pipeline(&pin, collection, &plan.body, &Vars::new())?;
             if !index_used {
-                if let Some(table) = map.get(collection) {
+                if let Ok(table) = pin.collection(collection) {
                     exec_t
                         .span_mut()
                         .set_metric("docs_scanned", table.stats().record_count() as i64);
                 }
             }
             exec_t.span_mut().set_metric("docs_out", rows.len() as i64);
-            let out_target = match plan.stages.last() {
-                Some(Stage::Out(target)) => Some(target.clone()),
-                _ => None,
-            };
+            let out_target = split_out(&plan.stages).1;
             (rows, out_target, parse_span, plan_span, exec_t.finish())
         };
         // `$out` (only reachable through the save-results rule) still
         // writes its target collection on the traced path.
-        let rows = if let Some(target) = out_target {
-            self.create_collection(&target)?;
-            let docs = rows
-                .into_iter()
-                .map(|v| v.into_obj().map_err(|e| DocError::Exec(e.to_string())))
-                .collect::<Result<Vec<_>>>()?;
-            self.insert_many(&target, docs)?;
-            Vec::new()
-        } else {
-            rows
-        };
+        let rows = self.finish(rows, out_target)?;
 
         let span = Span::new("execute")
             .with_duration(started.elapsed())
@@ -322,6 +278,21 @@ impl DocStore {
             .with_child(plan_span)
             .with_child(exec_span);
         Ok((rows, span))
+    }
+
+    /// A pipeline's result: `rows`, or — when it ends in `$out` — nothing,
+    /// after `rows` replaced the target collection's documents.
+    fn finish(&self, rows: Vec<Value>, out_target: Option<String>) -> Result<Vec<Value>> {
+        let Some(target) = out_target else {
+            return Ok(rows);
+        };
+        self.create_collection(&target)?;
+        let docs = rows
+            .into_iter()
+            .map(|v| v.into_obj().map_err(|e| DocError::Exec(e.to_string())))
+            .collect::<Result<Vec<_>>>()?;
+        self.insert_many(&target, docs)?;
+        Ok(Vec::new())
     }
 
     /// EXPLAIN-style description of the access path chosen for a pipeline.
@@ -339,22 +310,6 @@ impl DocStore {
         self.plan_cache.stats()
     }
 
-    fn optimize_for(
-        &self,
-        map: &HashMap<String, Table>,
-        collection: &str,
-        stages: &[Stage],
-    ) -> Result<PhysicalPipeline> {
-        let table = map
-            .get(collection)
-            .ok_or_else(|| DocError::UnknownCollection(collection.to_string()))?;
-        Ok(optimize(
-            stages,
-            &|attr| table.index_on(attr).map(|ix| ix.is_complete()),
-            self.use_indexes,
-        ))
-    }
-
     /// Index point-probe (used by the cluster layer). Returns matching
     /// documents.
     pub fn probe_index(
@@ -364,10 +319,7 @@ impl DocStore {
         key: &Value,
     ) -> Result<Vec<Record>> {
         let pin = self.pin()?;
-        let table = pin
-            .tables
-            .get(collection)
-            .ok_or_else(|| DocError::UnknownCollection(collection.to_string()))?;
+        let table = pin.collection(collection)?;
         match table.index_on(attribute) {
             Some(ix) => Ok(ix
                 .lookup(key)
@@ -387,19 +339,34 @@ impl DocStore {
     }
 }
 
+/// A pipeline's body and the target collection of its `$out` (which
+/// must be last), if any.
+fn split_out(stages: &[Stage]) -> (&[Stage], Option<String>) {
+    match stages.split_last() {
+        Some((Stage::Out(target), body)) => (body, Some(target.clone())),
+        _ => (stages, None),
+    }
+}
+
+/// Optimize a pipeline body for `collection` against its indexes.
+fn optimize_for(
+    collections: &Collections,
+    collection: &str,
+    stages: &[Stage],
+) -> Result<PhysicalPipeline> {
+    let table = collections.collection(collection)?;
+    Ok(optimize(stages, &|attr| {
+        table.index_on(attr).map(|ix| ix.is_complete())
+    }))
+}
+
 /// Give the id-less documents of one insert batch their `_id`s, each
 /// rebuilt with `_id` leading (MongoDB's insertion rule). Assigned ids
 /// count up from `next`, first moved past every integer `_id` in the
 /// batch, so an assigned id never repeats an explicit one. Returns the
 /// next free id.
 pub fn assign_ids(docs: &mut [Record], next: i64) -> i64 {
-    let mut next = docs
-        .iter()
-        .filter_map(|doc| match doc.get("_id") {
-            Some(Value::Int(id)) => Some(id.saturating_add(1)),
-            _ => None,
-        })
-        .fold(next, i64::max);
+    let mut next = past_ids(docs, next);
     for doc in docs.iter_mut().filter(|doc| !doc.contains("_id")) {
         let mut with_id = Record::with_capacity(doc.len() + 1);
         with_id.insert("_id", next);
@@ -412,115 +379,50 @@ pub fn assign_ids(docs: &mut [Record], next: i64) -> i64 {
     next
 }
 
+/// `next`, moved past every integer `_id` in `docs`.
+fn past_ids(docs: &[Record], next: i64) -> i64 {
+    docs.iter()
+        .filter_map(|doc| match doc.get("_id") {
+            Some(Value::Int(id)) => Some(id.saturating_add(1)),
+            _ => None,
+        })
+        .fold(next, i64::max)
+}
+
+/// Everything but `_id` assignment is the shared [`Tables`] state
+/// machine, whose primary-key rule rejects explicit `_id`s that repeat
+/// within a batch or match a stored document.
 impl StateMachine for Collections {
     type Error = DocError;
 
-    /// Check the target collection exists, reject explicit `_id`s that
-    /// repeat within the batch or match a stored document, and give
-    /// id-less ingested documents their `_id`s ([`assign_ids`] from the
-    /// counter, which `apply` keeps past every integer id stored). Shipped
-    /// and replayed documents go through `apply` and are not checked
-    /// again.
+    /// Check the op against the tables (the collection exists, no `_id`
+    /// repeats), then give id-less ingested documents their `_id`s
+    /// ([`assign_ids`] from the counter, which `apply` keeps past every
+    /// integer id stored). Assigned ids never repeat an explicit one, so
+    /// the key check runs before assignment. Shipped and replayed
+    /// documents go through `apply` and are not checked again.
     fn prepare(&self, mut op: DurableOp) -> Result<DurableOp> {
-        if let DurableOp::Ingest { name, .. } | DurableOp::Index { name, .. } = &op {
-            if !self.tables.contains_key(name) {
-                return Err(DocError::UnknownCollection(name.clone()));
-            }
-        }
-        if let DurableOp::Ingest { name, records, .. } = &mut op {
-            let table = &self.tables[name.as_str()];
-            let mut ids: Vec<&Value> = records.iter().filter_map(|doc| doc.get("_id")).collect();
-            ids.sort_by(|a, b| cmp_total(a, b));
-            let repeated = ids
-                .windows(2)
-                .find(|pair| cmp_total(pair[0], pair[1]) == Ordering::Equal)
-                .map(|pair| pair[0]);
-            if let Some(id) = repeated.or_else(|| {
-                ids.iter()
-                    .copied()
-                    .find(|id| table.get_by_key(id).is_some())
-            }) {
-                return Err(DocError::DuplicateKey(format!(
-                    "collection {name}, _id {id:?}"
-                )));
-            }
+        self.tables.check(&op)?;
+        if let DurableOp::Ingest { records, .. } = &mut op {
             assign_ids(records, self.next_id);
         }
         Ok(op)
     }
 
     fn apply(&mut self, op: DurableOp) -> std::result::Result<(), DurableError> {
-        let unknown = |what: &str, name: &str| {
-            DurableError::Corruption(format!("log {what} unknown collection {name}"))
+        // The counter resumes past every integer `_id` seen, assigned or
+        // explicit.
+        let next_id = match &op {
+            DurableOp::Ingest { records, .. } => past_ids(records, self.next_id),
+            _ => self.next_id,
         };
-        match op {
-            DurableOp::Create { name, .. } => {
-                let options = TableOptions {
-                    primary_key: Some("_id".to_string()),
-                    // Paper (section IV.E): "missing values are not
-                    // present in their indexes" for MongoDB.
-                    secondary_null_policy: NullPolicy::SkipNulls,
-                };
-                self.tables.insert(name.clone(), Table::new(name, options));
-            }
-            DurableOp::Ingest { name, records, .. } => {
-                let table = self
-                    .tables
-                    .get_mut(&name)
-                    .ok_or_else(|| unknown("ingests into", &name))?;
-                // The counter resumes past every integer `_id` seen,
-                // assigned or explicit.
-                for doc in &records {
-                    if let Some(Value::Int(id)) = doc.get("_id") {
-                        self.next_id = self.next_id.max(id.saturating_add(1));
-                    }
-                }
-                table.insert_all(records);
-            }
-            DurableOp::Index {
-                name, attribute, ..
-            } => {
-                self.tables
-                    .get_mut(&name)
-                    .ok_or_else(|| unknown("indexes", &name))?
-                    .create_index(&attribute);
-            }
-        }
+        self.tables.apply(op)?;
+        self.next_id = next_id;
         Ok(())
     }
 
-    /// Per collection (sorted by name) a `Create`, its secondary
-    /// `Index`es, and one `Ingest` of the heap in scan order — so replay
-    /// feeds every B+tree the same key sequence the original history did.
     fn snapshot_ops(&self) -> Vec<DurableOp> {
-        let mut names: Vec<&String> = self.tables.keys().collect();
-        names.sort();
-        let mut ops = Vec::new();
-        for name in names {
-            let table = &self.tables[name];
-            ops.push(DurableOp::Create {
-                namespace: String::new(),
-                name: name.clone(),
-                key: None,
-            });
-            for ix in table
-                .indexes()
-                .iter()
-                .filter(|ix| ix.kind() == IndexKind::Secondary)
-            {
-                ops.push(DurableOp::Index {
-                    namespace: String::new(),
-                    name: name.clone(),
-                    attribute: ix.attribute().to_string(),
-                });
-            }
-            ops.push(DurableOp::Ingest {
-                namespace: String::new(),
-                name: name.clone(),
-                records: table.heap().scan().map(|(_, r)| r.clone()).collect(),
-            });
-        }
-        ops
+        self.tables.snapshot_ops()
     }
 
     fn empty(&self) -> Collections {

@@ -5,13 +5,13 @@ use crate::cypher::parser::{
     WithClause,
 };
 use crate::error::{GraphError, Result};
-use crate::store::{LabelStore, ScanRange};
+use crate::store::{LabelStore, Labels, ScanRange};
 use polyframe_datamodel::{
     cmp_total, sql_compare, NumericSum, Record, SortKey, TopK, TriBool, Value,
 };
 use polyframe_storage::KeyBound;
 use std::cmp::Ordering;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 /// A variable binding: a node reference (lazy — strings untouched) or a
 /// computed value.
@@ -41,18 +41,8 @@ fn env_set(env: &mut Env, var: &str, val: GVal) {
     }
 }
 
-struct Ctx<'a> {
-    labels: &'a HashMap<String, LabelStore>,
-    use_indexes: bool,
-}
-
-impl<'a> Ctx<'a> {
-    fn label(&self, name: &str) -> Result<&'a LabelStore> {
-        self.labels
-            .get(name)
-            .ok_or_else(|| GraphError::UnknownLabel(name.to_string()))
-    }
-
+/// Expression evaluation over one pinned snapshot's labels.
+impl Labels {
     /// Read one property lazily.
     fn prop(&self, env: &Env, var: &str, prop: &str) -> Result<Value> {
         match env_get(env, var)? {
@@ -244,7 +234,7 @@ struct Plan<'q> {
     join: Option<&'q MatchClause>,
 }
 
-fn plan<'q>(q: &'q CypherQuery, ctx: &Ctx<'_>) -> Result<Plan<'q>> {
+fn plan<'q>(q: &'q CypherQuery, labels: &Labels) -> Result<Plan<'q>> {
     let first = &q.matches[0];
     if first.patterns.len() != 1 {
         return Err(GraphError::Semantic(
@@ -255,7 +245,7 @@ fn plan<'q>(q: &'q CypherQuery, ctx: &Ctx<'_>) -> Result<Plan<'q>> {
     let label = label
         .clone()
         .ok_or_else(|| GraphError::Semantic("the first MATCH pattern needs a label".to_string()))?;
-    let store = ctx.label(&label)?;
+    let store = labels.label(&label)?;
 
     let join = q.matches.get(1);
 
@@ -289,7 +279,7 @@ fn plan<'q>(q: &'q CypherQuery, ctx: &Ctx<'_>) -> Result<Plan<'q>> {
     let mut residual = None;
     let mut consumed = false;
     if let Some(pred) = pred {
-        if ctx.use_indexes && join.is_none() {
+        if join.is_none() {
             let mut conjuncts = Vec::new();
             flatten_and(pred, &mut conjuncts);
             // Equality seek.
@@ -423,23 +413,15 @@ fn range_prop_lit<'e>(e: &'e CExpr, var: &str) -> Option<(&'e str, CBinOp, &'e V
 // ------------------------------------------------------------ execution --
 
 /// Execute a parsed query.
-pub fn execute(
-    q: &CypherQuery,
-    labels: &HashMap<String, LabelStore>,
-    use_indexes: bool,
-) -> Result<Vec<Value>> {
-    let ctx = Ctx {
-        labels,
-        use_indexes,
-    };
-    let plan = plan(q, &ctx)?;
+pub fn execute(q: &CypherQuery, labels: &Labels) -> Result<Vec<Value>> {
+    let plan = plan(q, labels)?;
 
     if plan.access == Access::MetadataCount {
-        let n = ctx.label(&plan.label)?.count() as i64;
+        let n = labels.label(&plan.label)?.count() as i64;
         return Ok(vec![wrap_count(n, &q.ret)]);
     }
 
-    let store = ctx.label(&plan.label)?;
+    let store = labels.label(&plan.label)?;
     let var = plan.var.clone();
     let mk = move |idx: usize, label: &str| -> Env {
         vec![(
@@ -481,12 +463,8 @@ pub fn execute(
 
     // Residual predicate from the anchor clause.
     if let Some(pred) = &plan.residual {
-        let ctx2 = Ctx {
-            labels,
-            use_indexes,
-        };
         rows = Box::new(rows.filter_map(move |env| match env {
-            Ok(env) => match ctx2.filter_pass(pred, &env) {
+            Ok(env) => match labels.filter_pass(pred, &env) {
                 Ok(true) => Some(Ok(env)),
                 Ok(false) => None,
                 Err(e) => Some(Err(e)),
@@ -497,7 +475,7 @@ pub fn execute(
 
     // Join MATCH.
     if let Some(join) = plan.join {
-        rows = apply_join(rows, join, labels, use_indexes)?;
+        rows = apply_join(rows, join, labels)?;
     }
 
     // WITH chain.
@@ -506,14 +484,10 @@ pub fn execute(
         let strip_where = skip_first_where && i == 0;
         skip_first_where = false;
         let bound = order_by_bound(&q.withs[i + 1..], &q.ret, q.limit);
-        rows = apply_with(rows, w, labels, use_indexes, strip_where, bound)?;
+        rows = apply_with(rows, w, labels, strip_where, bound)?;
     }
 
     // RETURN.
-    let ctx3 = Ctx {
-        labels,
-        use_indexes,
-    };
     match &q.ret {
         ReturnClause::CountStar(_) => {
             let mut n = 0i64;
@@ -526,14 +500,14 @@ pub fn execute(
         ReturnClause::Var(v) => {
             let iter = rows.map(move |env| {
                 let env = env?;
-                ctx3.materialize(&env, v)
+                labels.materialize(&env, v)
             });
             collect_limited(iter, q.limit)
         }
         ReturnClause::Expr(e, _) => {
             let iter = rows.map(move |env| {
                 let env = env?;
-                ctx3.eval(e, &env)
+                labels.eval(e, &env)
             });
             collect_limited(iter, q.limit)
         }
@@ -582,8 +556,7 @@ fn collect_limited(
 fn apply_join<'a>(
     rows: EnvIter<'a>,
     join: &'a MatchClause,
-    labels: &'a HashMap<String, LabelStore>,
-    use_indexes: bool,
+    labels: &'a Labels,
 ) -> Result<EnvIter<'a>> {
     // Expect: patterns [(bound, None), (new, Some(label))] (either order)
     // and WHERE bound.p1 = new.p2.
@@ -623,21 +596,15 @@ fn apply_join<'a>(
         .map(|(v, _)| v.clone())
         .ok_or_else(|| GraphError::Semantic("join MATCH needs a bound pattern".to_string()))?;
 
-    let inner = labels
-        .get(&new_label)
-        .ok_or_else(|| GraphError::UnknownLabel(new_label.clone()))?;
-    let indexed = use_indexes && inner.has_index(&new_prop);
-    let ctx = Ctx {
-        labels,
-        use_indexes,
-    };
+    let inner = labels.label(&new_label)?;
+    let indexed = inner.has_index(&new_prop);
 
     Ok(Box::new(rows.flat_map(move |env| {
         let env = match env {
             Ok(e) => e,
             Err(e) => return vec![Err(e)],
         };
-        let key = match ctx.prop(&env, &bound_var, &bound_prop) {
+        let key = match labels.prop(&env, &bound_var, &bound_prop) {
             Ok(k) => k,
             Err(e) => return vec![Err(e)],
         };
@@ -675,26 +642,17 @@ fn apply_join<'a>(
 fn apply_with<'a>(
     rows: EnvIter<'a>,
     w: &'a WithClause,
-    labels: &'a HashMap<String, LabelStore>,
-    use_indexes: bool,
+    labels: &'a Labels,
     strip_where: bool,
     bound: Option<u64>,
 ) -> Result<EnvIter<'a>> {
-    let ctx = Ctx {
-        labels,
-        use_indexes,
-    };
     let mut rows: EnvIter<'a> = match &w.binding {
         WithBinding::Var(_) => rows,
         WithBinding::MapProject { var, entries } => {
             let var = var.clone();
             Box::new(rows.map(move |env| {
                 let env = env?;
-                let ctx = Ctx {
-                    labels,
-                    use_indexes,
-                };
-                let map = build_map(&ctx, &env, &var, entries)?;
+                let map = build_map(labels, &env, &var, entries)?;
                 let mut out = env;
                 env_set(&mut out, &var, GVal::Val(map));
                 Ok(out)
@@ -702,17 +660,13 @@ fn apply_with<'a>(
         }
         WithBinding::MapAs { entries, alias } => {
             if aggregates(entries) {
-                let out = aggregate_map(&ctx, rows, entries, alias)?;
+                let out = aggregate_map(labels, rows, entries, alias)?;
                 Box::new(out.into_iter().map(Ok))
             } else {
                 let alias = alias.clone();
                 Box::new(rows.map(move |env| {
                     let env = env?;
-                    let ctx = Ctx {
-                        labels,
-                        use_indexes,
-                    };
-                    let map = build_map(&ctx, &env, &alias, entries)?;
+                    let map = build_map(labels, &env, &alias, entries)?;
                     Ok(vec![(alias.clone(), GVal::Val(map))])
                 }))
             }
@@ -721,12 +675,8 @@ fn apply_with<'a>(
 
     if !strip_where {
         if let Some(pred) = &w.where_ {
-            let ctx2 = Ctx {
-                labels,
-                use_indexes,
-            };
             rows = Box::new(rows.filter_map(move |env| match env {
-                Ok(env) => match ctx2.filter_pass(pred, &env) {
+                Ok(env) => match labels.filter_pass(pred, &env) {
                     Ok(true) => Some(Ok(env)),
                     Ok(false) => None,
                     Err(e) => Some(Err(e)),
@@ -737,17 +687,13 @@ fn apply_with<'a>(
     }
 
     if let Some((key, desc)) = &w.order_by {
-        let ctx2 = Ctx {
-            labels,
-            use_indexes,
-        };
         // Every row's key is evaluated (key errors fire in row order);
         // the top-k kernel keeps `bound` rows when a later LIMIT caps
         // the output.
         let collected: Result<Vec<Env>> = rows.collect();
         let mut sorted = TopK::new(bound.map(|n| n as usize));
         for env in collected? {
-            sorted.push(SortKey::new(ctx2.eval(key, &env)?, *desc), env);
+            sorted.push(SortKey::new(labels.eval(key, &env)?, *desc), env);
         }
         rows = Box::new(sorted.into_sorted_items().into_iter().map(Ok));
     }
@@ -756,7 +702,7 @@ fn apply_with<'a>(
 
 /// Build a projection map (`t{...}`).
 fn build_map(
-    ctx: &Ctx<'_>,
+    labels: &Labels,
     env: &Env,
     var: &str,
     entries: &[crate::cypher::parser::Entry],
@@ -765,17 +711,17 @@ fn build_map(
     for entry in entries {
         match &entry.expr {
             EntryExpr::AllProps => {
-                if let Value::Obj(all) = ctx.materialize(env, var)? {
+                if let Value::Obj(all) = labels.materialize(env, var)? {
                     for (k, v) in all.iter() {
                         rec.insert(k.to_string(), v.clone());
                     }
                 }
             }
             EntryExpr::EmbedVar(v) => {
-                rec.insert(entry.alias.clone(), ctx.materialize(env, v)?);
+                rec.insert(entry.alias.clone(), labels.materialize(env, v)?);
             }
             EntryExpr::Expr(e) => {
-                let v = ctx.eval(e, env)?;
+                let v = labels.eval(e, env)?;
                 // Cypher map projections omit missing properties as null.
                 rec.insert(
                     entry.alias.clone(),
@@ -789,7 +735,7 @@ fn build_map(
 
 /// Grouped aggregation for `WITH {keys..., aggs...} AS v`.
 fn aggregate_map(
-    ctx: &Ctx<'_>,
+    labels: &Labels,
     rows: EnvIter<'_>,
     entries: &[crate::cypher::parser::Entry],
     alias: &str,
@@ -944,7 +890,7 @@ fn aggregate_map(
         let mut key = Vec::new();
         for (_, s) in &slots {
             if let Slot::Key(e) = s {
-                key.push(ctx.eval(e, &env)?);
+                key.push(labels.eval(e, &env)?);
             }
         }
         let accs = groups.entry(K(key)).or_insert_with(fresh);
@@ -952,7 +898,7 @@ fn aggregate_map(
         for (_, s) in &slots {
             match s {
                 Slot::Agg(_, arg) => {
-                    let v = ctx.eval(arg, &env)?;
+                    let v = labels.eval(arg, &env)?;
                     accs[ai].update(&v);
                     ai += 1;
                 }
@@ -992,16 +938,8 @@ fn aggregate_map(
 }
 
 /// EXPLAIN-style description of the access path.
-pub fn explain(
-    q: &CypherQuery,
-    labels: &HashMap<String, LabelStore>,
-    use_indexes: bool,
-) -> Result<String> {
-    let ctx = Ctx {
-        labels,
-        use_indexes,
-    };
-    let p = plan(q, &ctx)?;
+pub fn explain(q: &CypherQuery, labels: &Labels) -> Result<String> {
+    let p = plan(q, labels)?;
     let access = match &p.access {
         Access::MetadataCount => format!("MetadataCount({})", p.label),
         Access::LabelScan => format!("NodeByLabelScan({})", p.label),

@@ -3,7 +3,7 @@
 
 use crate::error::{GraphError, Result};
 use polyframe_datamodel::{Record, Value};
-use polyframe_storage::{DurableError, DurableOp, DurableStore, StateMachine};
+use polyframe_storage::{Catalog, DurableError, DurableOp, DurableStore, StateMachine};
 use std::collections::HashMap;
 
 pub(crate) use polyframe_storage::{BPlusTree, Direction, ScanRange};
@@ -31,8 +31,9 @@ pub type NodeRecord = Vec<(u16, InlineProp)>;
 /// Per-label storage.
 ///
 /// `Clone` deep-copies the records, string store and indexes — the unit
-/// of the copy-on-write snapshot [`GraphStore`] publishes for readers.
-#[derive(Clone)]
+/// [`Labels`] copies on write, and only while a published snapshot
+/// still shares it.
+#[derive(Clone, Default)]
 pub struct LabelStore {
     prop_names: Vec<String>,
     name_ids: HashMap<String, u16>,
@@ -42,16 +43,6 @@ pub struct LabelStore {
 }
 
 impl LabelStore {
-    fn new() -> LabelStore {
-        LabelStore {
-            prop_names: Vec::new(),
-            name_ids: HashMap::new(),
-            nodes: Vec::new(),
-            strings: Vec::new(),
-            indexes: HashMap::new(),
-        }
-    }
-
     /// O(1) metadata node count.
     pub fn count(&self) -> usize {
         self.nodes.len()
@@ -223,14 +214,23 @@ fn validate_node(record: &Record) -> Result<()> {
     Ok(())
 }
 
-/// The graph store's durable state: labels with their node stores.
+/// The graph store's durable state: labels with their node stores, in
+/// a copy-on-write [`Catalog`].
 #[derive(Clone, Default)]
-pub struct Labels(HashMap<String, LabelStore>);
+pub struct Labels(Catalog<String, LabelStore>);
 
 impl std::ops::Deref for Labels {
-    type Target = HashMap<String, LabelStore>;
-    fn deref(&self) -> &HashMap<String, LabelStore> {
+    type Target = Catalog<String, LabelStore>;
+    fn deref(&self) -> &Catalog<String, LabelStore> {
         &self.0
+    }
+}
+
+impl Labels {
+    /// Look a label up.
+    pub fn label(&self, name: &str) -> Result<&LabelStore> {
+        self.get(name)
+            .ok_or_else(|| GraphError::UnknownLabel(name.to_string()))
     }
 }
 
@@ -244,9 +244,7 @@ impl StateMachine for Labels {
             DurableOp::Create { .. } => {}
             DurableOp::Ingest { records, .. } => records.iter().try_for_each(validate_node)?,
             DurableOp::Index { name, .. } => {
-                if !self.contains_key(name) {
-                    return Err(GraphError::UnknownLabel(name.clone()));
-                }
+                self.label(name)?;
             }
         }
         Ok(op)
@@ -255,11 +253,11 @@ impl StateMachine for Labels {
     fn apply(&mut self, op: DurableOp) -> std::result::Result<(), DurableError> {
         match op {
             DurableOp::Create { name, .. } => {
-                self.0.entry(name).or_insert_with(LabelStore::new);
+                self.0.get_or_insert_with(name, LabelStore::default);
             }
             // Labels are created implicitly by their first ingest.
             DurableOp::Ingest { name, records, .. } => {
-                let store = self.0.entry(name.clone()).or_insert_with(LabelStore::new);
+                let store = self.0.get_or_insert_with(name.clone(), LabelStore::default);
                 for rec in records {
                     store.insert(rec).map_err(|e| {
                         DurableError::Corruption(format!("replaying {name} ingest: {e}"))
@@ -285,11 +283,8 @@ impl StateMachine for Labels {
     /// string store in the original encounter order, so the rebuilt
     /// layout is identical.
     fn snapshot_ops(&self) -> Vec<DurableOp> {
-        let mut names: Vec<&String> = self.keys().collect();
-        names.sort();
         let mut ops = Vec::new();
-        for name in names {
-            let store = &self[name];
+        for (name, store) in self.sorted() {
             ops.push(DurableOp::Create {
                 namespace: String::new(),
                 name: name.clone(),
@@ -328,7 +323,6 @@ const PLAN_CACHE_CAPACITY: usize = 128;
 /// snapshot and never hold a lock across query execution.
 pub struct GraphStore {
     shell: DurableStore<Labels>,
-    use_indexes: bool,
     /// Parsed queries keyed by Cypher text, at the catalog version of the
     /// snapshot they were parsed for (access paths are re-derived per
     /// execution, but the guard keeps the cache discipline uniform
@@ -354,16 +348,7 @@ impl GraphStore {
     pub fn new() -> GraphStore {
         GraphStore {
             shell: DurableStore::new("graphstore", Labels::default()),
-            use_indexes: true,
             plan_cache: polyframe_observe::VersionedCache::new(PLAN_CACHE_CAPACITY),
-        }
-    }
-
-    /// Empty store with index usage disabled (ablation benchmarks).
-    pub fn without_indexes() -> GraphStore {
-        GraphStore {
-            use_indexes: false,
-            ..GraphStore::new()
         }
     }
 
@@ -389,11 +374,6 @@ impl GraphStore {
     /// Plan-cache hit/miss tallies since construction.
     pub fn plan_cache_stats(&self) -> polyframe_observe::CacheStats {
         self.plan_cache.stats()
-    }
-
-    /// Whether the planner may use indexes.
-    pub fn indexes_enabled(&self) -> bool {
-        self.use_indexes
     }
 
     /// Create an (empty) label.
@@ -432,17 +412,14 @@ impl GraphStore {
 
     /// O(1) metadata count for a label.
     pub fn count_nodes(&self, label: &str) -> Result<usize> {
-        self.pin()?
-            .get(label)
-            .map(LabelStore::count)
-            .ok_or_else(|| GraphError::UnknownLabel(label.to_string()))
+        Ok(self.pin()?.label(label)?.count())
     }
 
     /// Execute a Cypher query.
     pub fn query(&self, cypher: &str) -> Result<Vec<Value>> {
         let map = self.pin_query()?;
         let (ast, _) = self.parsed(cypher, map.version())?;
-        crate::cypher::execute(&ast, &map, self.use_indexes)
+        crate::cypher::execute(&ast, &map)
     }
 
     /// Like [`GraphStore::query`], but also reports where the time went as
@@ -462,7 +439,7 @@ impl GraphStore {
         let parse_span = parse_t.finish();
 
         let mut plan_t = SpanTimer::start("plan");
-        let access_path = crate::cypher::explain(&ast, &map, self.use_indexes)?;
+        let access_path = crate::cypher::explain(&ast, &map)?;
         let index_used =
             access_path.contains("NodeIndexSeek") || access_path.contains("NodeIndexRange");
         plan_t
@@ -477,7 +454,7 @@ impl GraphStore {
         let plan_span = plan_t.finish();
 
         let mut exec_t = SpanTimer::start("exec");
-        let rows = crate::cypher::execute(&ast, &map, self.use_indexes)?;
+        let rows = crate::cypher::execute(&ast, &map)?;
         exec_t.span_mut().set_metric("rows_out", rows.len() as i64);
         let exec_span = exec_t.finish();
 
@@ -493,7 +470,7 @@ impl GraphStore {
     pub fn explain(&self, cypher: &str) -> Result<String> {
         let map = self.pin()?;
         let (ast, _) = self.parsed(cypher, map.version())?;
-        crate::cypher::explain(&ast, &map, self.use_indexes)
+        crate::cypher::explain(&ast, &map)
     }
 }
 

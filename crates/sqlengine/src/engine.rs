@@ -1,6 +1,5 @@
 //! The engine facade: text in, rows out.
 
-use crate::catalog::Database;
 use crate::dialect::Dialect;
 use crate::error::{EngineError, Result};
 use crate::exec::{ExecOptions, Executor};
@@ -16,7 +15,7 @@ use crate::plan::stats::StatsCatalog;
 use polyframe_datamodel::{Record, Value};
 use polyframe_observe::{CacheStats, ExplainReport, Span, SpanTimer};
 use polyframe_storage::{
-    DurableError, DurableOp, DurableStore, IndexKind, Snapshot, StateMachine, TableOptions,
+    DurableError, DurableOp, DurableStore, Snapshot, StateMachine, Table, TableOptions, Tables,
 };
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -30,8 +29,6 @@ pub struct EngineConfig {
     pub personality: Personality,
     /// Namespace used for single-part dataset names.
     pub default_namespace: String,
-    /// Master index-selection switch (ablation benchmarks flip this off).
-    pub use_indexes: bool,
     /// Cost-based planning switch: when set, physical planning captures a
     /// statistics snapshot and chooses among legal plans by estimated
     /// cost; when clear, the deterministic shape rule decides (ablation
@@ -48,7 +45,6 @@ impl EngineConfig {
             dialect: Dialect::SqlPlusPlus,
             personality: Personality::asterixdb(),
             default_namespace: "Default".to_string(),
-            use_indexes: true,
             use_stats: true,
             exec: ExecOptions::default(),
         }
@@ -60,7 +56,6 @@ impl EngineConfig {
             dialect: Dialect::Sql,
             personality: Personality::postgres12(),
             default_namespace: "public".to_string(),
-            use_indexes: true,
             use_stats: true,
             exec: ExecOptions::default(),
         }
@@ -72,7 +67,6 @@ impl EngineConfig {
             dialect: Dialect::Sql,
             personality: Personality::postgres95(),
             default_namespace: "public".to_string(),
-            use_indexes: true,
             use_stats: true,
             exec: ExecOptions::default(),
         }
@@ -88,6 +82,37 @@ impl EngineConfig {
     pub fn with_stats(mut self, use_stats: bool) -> EngineConfig {
         self.use_stats = use_stats;
         self
+    }
+}
+
+/// All data managed by one engine instance: the shared [`Tables`]
+/// state (copy-on-write datasets keyed by namespace and name) whose
+/// secondary indexes follow the personality's null policy.
+#[derive(Debug, Clone, Default)]
+pub struct Database(Tables);
+
+impl Database {
+    /// Empty database.
+    pub fn new() -> Database {
+        Database::default()
+    }
+
+    /// Look a dataset up.
+    pub fn dataset(&self, namespace: &str, dataset: &str) -> Result<&Table> {
+        Ok(self.0.get(namespace, dataset)?)
+    }
+}
+
+impl std::ops::Deref for Database {
+    type Target = Tables;
+    fn deref(&self) -> &Tables {
+        &self.0
+    }
+}
+
+impl std::ops::DerefMut for Database {
+    fn deref_mut(&mut self) -> &mut Tables {
+        &mut self.0
     }
 }
 
@@ -123,7 +148,10 @@ struct Compiled {
 impl Engine {
     /// Create an empty engine.
     pub fn new(config: EngineConfig) -> Engine {
-        let state = Database::with_null_policy(config.personality.secondary_null_policy());
+        let state = Database(Tables::new(TableOptions {
+            primary_key: None,
+            secondary_null_policy: config.personality.secondary_null_policy(),
+        }));
         Engine {
             shell: DurableStore::new(format!("sqlengine/{:?}", config.dialect), state),
             config,
@@ -191,7 +219,6 @@ impl Engine {
     fn planner_options(&self, db: &Database) -> PlannerOptions {
         PlannerOptions {
             personality: self.config.personality.clone(),
-            use_indexes: self.config.use_indexes,
             stats: self
                 .config
                 .use_stats
@@ -515,108 +542,32 @@ impl Engine {
     }
 }
 
+/// Everything but the checkpoint-time statistics rebuild is the shared
+/// [`Tables`] state machine.
 impl StateMachine for Database {
     type Error = EngineError;
 
     fn prepare(&self, op: DurableOp) -> Result<DurableOp> {
-        if let DurableOp::Ingest {
-            namespace, name, ..
-        }
-        | DurableOp::Index {
-            namespace, name, ..
-        } = &op
-        {
-            self.dataset(namespace, name)?;
-        }
+        self.0.check(&op)?;
         Ok(op)
     }
 
     fn apply(&mut self, op: DurableOp) -> std::result::Result<(), DurableError> {
-        let unknown = |what: &str, namespace: &str, name: &str| {
-            DurableError::Corruption(format!("log {what} unknown dataset {namespace}.{name}"))
-        };
-        match op {
-            DurableOp::Create {
-                namespace,
-                name,
-                key,
-            } => {
-                let options = TableOptions {
-                    primary_key: key,
-                    secondary_null_policy: self.null_policy,
-                };
-                self.create_dataset(&namespace, &name, options);
-            }
-            DurableOp::Ingest {
-                namespace,
-                name,
-                records,
-            } => self
-                .dataset_mut(&namespace, &name)
-                .map_err(|_| unknown("ingests into", &namespace, &name))?
-                .insert_all(records),
-            DurableOp::Index {
-                namespace,
-                name,
-                attribute,
-            } => {
-                self.dataset_mut(&namespace, &name)
-                    .map_err(|_| unknown("indexes", &namespace, &name))?
-                    .create_index(&attribute);
-            }
-        }
-        Ok(())
+        self.0.apply(op)
     }
 
-    /// Per dataset (sorted for determinism) a `Create`, the
-    /// secondary-index DDL, then one `Ingest` of the heap in scan order.
-    /// Creating indexes before the ingest feeds the B+trees the same key
-    /// sequence as the original history did (heap order), so the rebuilt
-    /// trees match.
     fn snapshot_ops(&self) -> Vec<DurableOp> {
-        let mut names: Vec<(String, String)> = self
-            .dataset_names()
-            .map(|(ns, ds)| (ns.to_string(), ds.to_string()))
-            .collect();
-        names.sort();
-        let mut ops = Vec::new();
-        for (namespace, name) in names {
-            let Ok(table) = self.dataset(&namespace, &name) else {
-                continue;
-            };
-            ops.push(DurableOp::Create {
-                namespace: namespace.clone(),
-                name: name.clone(),
-                key: table.primary_key().map(str::to_string),
-            });
-            for ix in table
-                .indexes()
-                .iter()
-                .filter(|ix| ix.kind() == IndexKind::Secondary)
-            {
-                ops.push(DurableOp::Index {
-                    namespace: namespace.clone(),
-                    name: name.clone(),
-                    attribute: ix.attribute().to_string(),
-                });
-            }
-            ops.push(DurableOp::Ingest {
-                namespace,
-                name,
-                records: table.heap().scan().map(|(_, r)| r.clone()).collect(),
-            });
-        }
-        ops
+        self.0.snapshot_ops()
     }
 
     fn empty(&self) -> Database {
-        Database::with_null_policy(self.null_policy)
+        Database(self.0.empty())
     }
 
     /// Checkpoint = the maintenance point: replace the incrementally
     /// sketched statistics with exact ones rebuilt from the heaps.
     fn after_checkpoint(&mut self) {
-        self.rebuild_stats();
+        self.0.rebuild_stats();
     }
 }
 

@@ -1,6 +1,6 @@
 //! Engine error type.
 
-use polyframe_storage::{DurableError, StoreError};
+use polyframe_storage::{DurableError, StoreError, TableError};
 use std::fmt;
 
 /// Errors surfaced by the SQL/SQL++ engine.
@@ -36,6 +36,9 @@ pub enum EngineError {
         /// The missing dataset's name.
         dataset: String,
     },
+    /// A loaded record's primary key repeats within its batch or matches
+    /// a stored record.
+    DuplicateKey(String),
     /// A failure of the durable-store shell: a transient (retryable)
     /// condition — a dropped connection, a shard timeout, an injected
     /// fault — or non-retryable corruption of the log or snapshot.
@@ -54,6 +57,7 @@ impl fmt::Display for EngineError {
             EngineError::UnknownDataset { namespace, dataset } => {
                 write!(f, "unknown dataset: {namespace}.{dataset}")
             }
+            EngineError::DuplicateKey(m) => write!(f, "duplicate key: {m}"),
             EngineError::Durable(e) => write!(f, "{e}"),
         }
     }
@@ -64,6 +68,18 @@ impl std::error::Error for EngineError {}
 impl From<DurableError> for EngineError {
     fn from(e: DurableError) -> EngineError {
         EngineError::Durable(e)
+    }
+}
+
+impl From<TableError> for EngineError {
+    fn from(e: TableError) -> EngineError {
+        match e {
+            TableError::Unknown { namespace, name } => EngineError::UnknownDataset {
+                namespace,
+                dataset: name,
+            },
+            TableError::DuplicateKey(m) => EngineError::DuplicateKey(format!("dataset {m}")),
+        }
     }
 }
 

@@ -20,7 +20,7 @@ pub use parallel::{
     MAX_BATCH_ROWS,
 };
 
-use crate::catalog::Database;
+use crate::engine::Database;
 use crate::error::{EngineError, Result};
 use crate::plan::logical::{AggArg, AggExpr, AggMode, ProjectSpec, Scalar};
 use crate::plan::physical::{DatasetRef, PhysicalPlan};

@@ -41,7 +41,7 @@ use super::join::ValueHashTable;
 use super::vector;
 use super::{project_row, AggState};
 use crate::ast::JoinKind;
-use crate::catalog::Database;
+use crate::engine::Database;
 use crate::error::{EngineError, Result};
 use crate::plan::logical::{AggExpr, AggMode, ProjectSpec, Scalar};
 use crate::plan::physical::{DatasetRef, PhysicalPlan};

@@ -25,7 +25,6 @@
 //! results leave as [`polyframe_datamodel::Value`] rows.
 
 pub mod ast;
-pub mod catalog;
 pub mod dialect;
 pub mod engine;
 pub mod error;
@@ -36,9 +35,8 @@ pub mod personality;
 pub mod plan;
 pub mod token;
 
-pub use catalog::Database;
 pub use dialect::Dialect;
-pub use engine::{Engine, EngineConfig};
+pub use engine::{Database, Engine, EngineConfig};
 pub use error::{EngineError, Result};
 pub use exec::{available_threads, ExecOptions, ExecReport, DEFAULT_BATCH_ROWS, MAX_BATCH_ROWS};
 pub use personality::Personality;

@@ -14,7 +14,7 @@
 //! [`COST_INDEX_FETCH`] per row — the classic reason a low-selectivity
 //! index loses to a sequential scan.
 
-use crate::catalog::Database;
+use crate::engine::Database;
 use crate::plan::logical::Scalar;
 use crate::plan::physical::{Conjunct, DatasetRef, PhysicalPlan};
 use crate::plan::stats::{

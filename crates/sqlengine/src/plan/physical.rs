@@ -11,7 +11,7 @@
 //!   otherwise `IndexNLJoin`/`HashJoin`.
 
 use crate::ast::{BinOp, IsKind, JoinKind};
-use crate::catalog::Database;
+use crate::engine::Database;
 use crate::error::Result;
 use crate::personality::Personality;
 use crate::plan::cost::{op_parts, CostModel, PlanDecision};
@@ -28,9 +28,6 @@ use std::sync::Arc;
 pub struct PlannerOptions {
     /// The system personality (feature flags).
     pub personality: Personality,
-    /// Master switch for index selection (ablation benchmarks turn this
-    /// off to measure the cost of naive subquery execution).
-    pub use_indexes: bool,
     /// Statistics snapshot for cost-based choice among legal plans.
     /// `None` falls back to the deterministic shape rule. Statistics never
     /// make a plan legal — personality flags alone gate legality; stats
@@ -485,12 +482,10 @@ impl<'a> Planner<'a> {
     }
 
     fn has_index(&self, ds: &DatasetRef, attr: &str) -> bool {
-        self.options.use_indexes
-            && self
-                .db
-                .dataset(&ds.namespace, &ds.dataset)
-                .ok()
-                .is_some_and(|t| t.index_on(attr).is_some())
+        self.db
+            .dataset(&ds.namespace, &ds.dataset)
+            .ok()
+            .is_some_and(|t| t.index_on(attr).is_some())
     }
 
     fn index_has_nulls(&self, ds: &DatasetRef, attr: &str) -> bool {
@@ -564,9 +559,6 @@ impl<'a> Planner<'a> {
     /// breaking ties. The weighed alternatives are recorded for the
     /// explain report either way.
     fn index_access(&self, ds: &DatasetRef, conjuncts: &[Conjunct]) -> Option<PhysicalPlan> {
-        if !self.options.use_indexes {
-            return None;
-        }
         let candidates = self.access_candidates(ds, conjuncts);
         if candidates.is_empty() {
             return None;
@@ -756,11 +748,7 @@ impl<'a> Planner<'a> {
     ) -> Result<PhysicalPlan> {
         // Specialized index plans only apply to complete, ungrouped,
         // single-aggregate queries.
-        if self.options.use_indexes
-            && group_by.is_empty()
-            && aggs.len() == 1
-            && mode == AggMode::Complete
-        {
+        if group_by.is_empty() && aggs.len() == 1 && mode == AggMode::Complete {
             let agg = &aggs[0];
             if let Some(phys) = self.scalar_agg_fastpath(input, agg) {
                 return Ok(phys);

@@ -13,7 +13,7 @@
 //! Selectivity math lives here; cost formulas live in
 //! [`crate::plan::cost`].
 
-use crate::catalog::Database;
+use crate::engine::Database;
 use polyframe_datamodel::Value;
 use polyframe_storage::Histogram;
 use std::collections::HashMap;
@@ -116,14 +116,7 @@ impl StatsCatalog {
     /// Capture the statistics of every table in `db`.
     pub fn capture(db: &Database) -> StatsCatalog {
         let mut tables = HashMap::new();
-        let names: Vec<(String, String)> = db
-            .dataset_names()
-            .map(|(ns, ds)| (ns.to_string(), ds.to_string()))
-            .collect();
-        for (ns, ds) in names {
-            let Ok(table) = db.dataset(&ns, &ds) else {
-                continue;
-            };
+        for (ns, ds, table) in db.iter() {
             let stats = table.stats();
             let mut view = TableStatsView {
                 row_count: stats.record_count() as f64,
@@ -141,7 +134,7 @@ impl StatsCatalog {
                     },
                 );
             }
-            tables.insert((ns, ds), view);
+            tables.insert((ns.to_string(), ds.to_string()), view);
         }
         StatsCatalog { tables }
     }

@@ -252,14 +252,12 @@ fn nested_field_navigation() {
 
 #[test]
 fn index_and_seqscan_agree() {
-    // The planner's index path must return exactly what a forced scan does.
+    // The planner's index path must return exactly what a forced scan
+    // does; the reference dataset has no index to choose.
     let with_idx = engine();
     with_idx.create_index("public", "t", "grp").unwrap();
-    let without = Engine::new(EngineConfig {
-        use_indexes: false,
-        ..EngineConfig::postgres()
-    });
-    without.create_dataset("public", "t", Some("id")).unwrap();
+    let without = Engine::new(EngineConfig::postgres());
+    without.create_dataset("public", "t", None).unwrap();
     without
         .load(
             "public",

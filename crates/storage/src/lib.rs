@@ -17,6 +17,10 @@
 //!   B-trees; AsterixDB/MongoDB-style secondary indexes do not index missing
 //!   values — the paper's expression 13 hinges on exactly this difference).
 //! * [`table`] — heap + indexes + statistics glued together.
+//! * [`catalog`] — the copy-on-write name → table map every store holds
+//!   its state in, and [`catalog::Tables`], the state machine the SQL and
+//!   document stores share (dataset lookup, `Create`/`Index`/`Ingest`
+//!   apply, checkpoint ops, the one primary-key rule).
 //! * [`stats`] — table statistics used by the query optimizers.
 //! * [`codec`] — a lossless binary encoding of the data model, used by the
 //!   write-ahead log (the JSON printer is lossy for `Missing` and
@@ -32,6 +36,8 @@
 pub mod batch;
 pub mod btree;
 #[deny(clippy::unwrap_used)]
+pub mod catalog;
+#[deny(clippy::unwrap_used)]
 pub mod codec;
 #[deny(clippy::unwrap_used)]
 pub mod durable;
@@ -46,6 +52,7 @@ pub use batch::{
     Column, ColumnBatch, ColumnSummary, Presence, DEFAULT_BATCH_ROWS, DICT_CAP, MAX_BATCH_ROWS,
 };
 pub use btree::{BPlusTree, Direction, KeyBound, ScanRange};
+pub use catalog::{Catalog, TableError, Tables};
 pub use durable::{DurableError, DurableStore, Snapshot, StateMachine, StoreError};
 pub use heap::{RecordId, TableHeap};
 pub use index::{Index, IndexKind, NullPolicy};
